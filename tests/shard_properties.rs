@@ -12,21 +12,30 @@
 //! programs — the property is checked over >= 200 interleavings per
 //! technology and stays reproducible in CI.
 //!
+//! Both hosts are also checked against an independent reference model
+//! of the documented supervisor rules ([`model`]), so a rule the two
+//! hosts share cannot be wrong in both without the suite noticing. The
+//! default policy runs at the historical seed counts; a seeded variant
+//! climbs the backoff ladder to its ban ceiling.
+//!
 //! The second half is the fault-injection harness: an rng-scheduled
 //! saboteur traps on chosen (shard, invocation) slots, and the suite
 //! asserts the quarantine detach propagates to every shard (no
 //! post-detach invocations anywhere, deterministic `Unavailable` on
 //! re-invoke, epoch stamped against the membership order).
 
+mod model;
+
 use graft_rng::SmallRng;
+use graftbench::api::GraftLedger;
 use graftbench::api::{
-    GraftClass, GraftError, GraftSpec, Motivation, RegionStore, Technology, Trap, Verdict,
+    GraftClass, GraftError, GraftSpec, Motivation, RegionStore, Technology, Trap, TrapKind, Verdict,
 };
 use graftbench::core::GraftManager;
 use graftbench::kernel::{
-    AttachPoint, GraftHost, GraftId, HostConfig, RunQueues, ShardedHost, StealPolicy,
-    VirtualShards,
+    AttachPoint, GraftHost, GraftId, HostConfig, RunQueues, ShardedHost, StealPolicy, VirtualShards,
 };
+use model::{Invoked, Model, ModelGraft, Outcome};
 
 const POINT: AttachPoint = AttachPoint::VmEvict;
 
@@ -67,25 +76,72 @@ fn pure_spec() -> GraftSpec {
         .with_grail(grail)
         .with_tickle(tickle)
         .with_native(Box::new(|| {
-            Box::new(
-                |entry: &str, args: &[i64], _regions: &mut RegionStore| {
-                    if entry != "select_victim" {
-                        return Err(GraftError::Unavailable {
-                            graft: "pure-pick".into(),
-                            missing: format!("entry {entry}"),
-                        });
-                    }
-                    let (a, b) = (args[0], args[1]);
-                    if b == 0 {
-                        return Err(GraftError::Trap(Trap::DivByZero));
-                    }
-                    if b < 0 {
-                        return Err(GraftError::Trap(Trap::FuelExhausted));
-                    }
-                    Ok((a + b) % 7 - 3)
-                },
-            )
+            Box::new(|entry: &str, args: &[i64], _regions: &mut RegionStore| {
+                if entry != "select_victim" {
+                    return Err(GraftError::Unavailable {
+                        graft: "pure-pick".into(),
+                        missing: format!("entry {entry}"),
+                    });
+                }
+                let (a, b) = (args[0], args[1]);
+                if b == 0 {
+                    return Err(GraftError::Trap(Trap::DivByZero));
+                }
+                if b < 0 {
+                    return Err(GraftError::Trap(Trap::FuelExhausted));
+                }
+                Ok((a + b) % 7 - 3)
+            })
         }))
+}
+
+/// What [`pure_spec`]'s graft computes, restated for the model.
+fn pure_outcome(a: i64, b: i64) -> Outcome {
+    if b == 0 {
+        Outcome::Trap(TrapKind::DivByZero)
+    } else if b < 0 {
+        Outcome::Trap(TrapKind::FuelExhausted)
+    } else {
+        Outcome::Ret((a + b) % 7 - 3)
+    }
+}
+
+/// Whether a host's invoke result is the one the model predicts.
+fn matches_model(r: &Result<i64, GraftError>, m: Invoked) -> bool {
+    match (r, m) {
+        (Ok(x), Invoked::Ran(Outcome::Ret(y))) => *x == y,
+        (Err(e), Invoked::Ran(Outcome::Trap(k))) => e.as_trap().map(Trap::kind) == Some(k),
+        (Err(e), Invoked::Ran(Outcome::Fail)) => e.as_trap().is_none(),
+        (Err(e), Invoked::Refused) => matches!(e, GraftError::Unavailable { .. }),
+        _ => false,
+    }
+}
+
+/// Asserts a host ledger carries the model's countable totals.
+fn assert_ledger(l: &GraftLedger, m: &ModelGraft, ctx: &str) {
+    assert_eq!(l.invocations, m.invocations, "model invocations, {ctx}");
+    assert_eq!(l.traps, m.traps, "model traps, {ctx}");
+    for kind in TrapKind::ALL {
+        assert_eq!(
+            l.trap_counts.get(kind),
+            m.kinds[kind as usize],
+            "model {kind:?} traps, {ctx}"
+        );
+    }
+}
+
+/// A backoff-ladder policy drawn from `seed`: short windows and a low
+/// ban ceiling, so a short random program climbs the ladder, gets
+/// re-admitted on probation, and reaches the permanent ban.
+fn backoff_config(seed: u64) -> HostConfig {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xBAC0_FF00);
+    HostConfig {
+        trap_threshold: 1 + rng.bounded_u64(2) as u32,
+        probation_clean: 1 + rng.bounded_u64(3),
+        backoff_base: 1 + rng.bounded_u64(4),
+        ban_ceiling: 2 + rng.bounded_u64(2) as u32,
+        ..HostConfig::default()
+    }
 }
 
 fn marshal_err() -> GraftError {
@@ -128,19 +184,29 @@ fn same_error(a: &GraftError, b: &GraftError) -> bool {
     }
 }
 
-/// Runs one random interleaving of host operations against both a
-/// scalar `GraftHost` and a `ShardedHost` with 1-4 shards, asserting
-/// observational equivalence at every step and over the final ledgers,
-/// states, and statistics. Returns the replay trace so the determinism
-/// test can compare two runs of the same seed.
-fn check_one(manager: &GraftManager, spec: &GraftSpec, tech: Technology, seed: u64) -> Vec<i64> {
+/// Runs one random interleaving of host operations against a scalar
+/// `GraftHost`, a `ShardedHost` with 1-4 shards, and the reference
+/// model, all under policy `cfg`, asserting observational equivalence
+/// at every step and over the final ledgers, states, and statistics.
+/// Returns the replay trace so the determinism test can compare two
+/// runs of the same seed.
+fn check_one(
+    manager: &GraftManager,
+    spec: &GraftSpec,
+    tech: Technology,
+    seed: u64,
+    cfg: HostConfig,
+    graft: fn(i64, i64) -> Outcome,
+) -> Vec<i64> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let shards = 1 + rng.bounded_u64(4) as usize;
-    let mut single = GraftHost::new();
-    let mut sharded = ShardedHost::new(shards);
+    let mut single = GraftHost::with_config(cfg);
+    let mut sharded = ShardedHost::with_config(shards, cfg);
+    let mut model = Model::new(cfg, graft);
     let mut vs = VirtualShards::new(&mut sharded, seed ^ 0xA5A5_5A5A);
-    // Parallel id map: (scalar id, sharded id), in install order.
-    let mut installed: Vec<(GraftId, GraftId)> = Vec::new();
+    // Parallel id map: (scalar id, sharded id, model key), in install
+    // order.
+    let mut installed: Vec<(GraftId, GraftId, u64)> = Vec::new();
     let mut trace = vec![shards as i64];
     let ctx = |seed: u64| format!("{tech} seed {seed:#x}");
 
@@ -157,47 +223,63 @@ fn check_one(manager: &GraftManager, spec: &GraftSpec, tech: Technology, seed: u
             let e1 = manager.load(spec, tech).expect("scalar load");
             let e2 = manager.load(spec, tech).expect("sharded load");
             let front = rng.bounded_u64(2) == 0;
+            let m = model.install(front);
             let pair = if front {
                 let a = single.install_front(POINT, "pure", e1).expect("install");
                 let b = vs_install_front(&sharded, e2);
-                installed.insert(0, (a, b));
+                installed.insert(0, (a, b, m));
                 (a, b)
             } else {
                 let a = single.install(POINT, "pure", e1).expect("install");
                 let b = sharded.install(POINT, "pure", e2).expect("install");
-                installed.push((a, b));
+                installed.push((a, b, m));
                 (a, b)
             };
             trace.push(100 + pair.0 .0 as i64);
         } else if roll < 25 {
             let k = rng.bounded_u64(installed.len() as u64) as usize;
-            let (a, b) = installed.remove(k);
+            let (a, b, m) = installed.remove(k);
+            let removed = single.uninstall(a);
             assert_eq!(
-                single.uninstall(a),
+                removed,
                 sharded.uninstall(b),
                 "uninstall parity, {}",
+                ctx(seed)
+            );
+            assert_eq!(
+                removed,
+                model.uninstall(m),
+                "model uninstall, {}",
                 ctx(seed)
             );
             trace.push(200);
         } else if roll < 33 {
             let k = rng.bounded_u64(installed.len() as u64) as usize;
-            let (a, b) = installed[k];
+            let (a, b, m) = installed[k];
+            let readmitted = single.readmit(a);
             assert_eq!(
-                single.readmit(a),
+                readmitted,
                 sharded.readmit(b),
                 "readmit parity, {}",
                 ctx(seed)
             );
+            assert_eq!(readmitted, model.readmit(m), "model readmit, {}", ctx(seed));
             trace.push(300);
         } else if roll < 43 {
             // Direct invocation through the host, on whichever shard
             // the rotation lands on.
             let k = rng.bounded_u64(installed.len() as u64) as usize;
-            let (a, b) = installed[k];
+            let (a, b, m) = installed[k];
             let aa = rng.bounded_u64(1000) as i64;
             let bb = rng.bounded_u64(4) as i64;
             let r1 = single.invoke(a, &[aa, bb]);
             let r2 = vs.next_shard().invoke(b, &[aa, bb]);
+            let rm = model.invoke(m, aa, bb);
+            assert!(
+                matches_model(&r1, rm),
+                "model invoke {rm:?} vs {r1:?}, {}",
+                ctx(seed)
+            );
             match (&r1, &r2) {
                 (Ok(x), Ok(y)) => assert_eq!(x, y, "invoke value, {}", ctx(seed)),
                 (Err(x), Err(y)) => {
@@ -212,6 +294,12 @@ fn check_one(manager: &GraftManager, spec: &GraftSpec, tech: Technology, seed: u
             let v1 = single.dispatch(POINT, |_| Err(marshal_err()));
             let v2 = vs.dispatch(POINT, |_| Err(marshal_err()));
             assert_eq!(v1, v2, "marshal-failure verdict, {}", ctx(seed));
+            assert_eq!(
+                v1,
+                model.dispatch(false, 0, 0),
+                "model verdict, {}",
+                ctx(seed)
+            );
             trace.push(400);
         } else {
             let aa = rng.bounded_u64(1000) as i64;
@@ -219,6 +307,8 @@ fn check_one(manager: &GraftManager, spec: &GraftSpec, tech: Technology, seed: u
             let v1 = single.dispatch(POINT, |_| Ok(vec![aa, bb]));
             let v2 = vs.dispatch(POINT, |_| Ok(vec![aa, bb]));
             assert_eq!(v1, v2, "dispatch verdict ({aa},{bb}), {}", ctx(seed));
+            let vm = model.dispatch(true, aa, bb);
+            assert_eq!(v1, vm, "model verdict ({aa},{bb}), {}", ctx(seed));
             trace.push(encode_verdict(v1));
         }
     }
@@ -228,11 +318,12 @@ fn check_one(manager: &GraftManager, spec: &GraftSpec, tech: Technology, seed: u
 
     // Control-plane statistics agree exactly, field for field.
     assert_eq!(single.stats(), sharded.stats(), "host stats, {}", ctx(seed));
+    assert_eq!(single.stats(), model.stats, "model stats, {}", ctx(seed));
 
     // Per-graft ledgers and lifecycle states agree for every graft
     // still installed (wall-clock ns is the one legitimately
     // machine-dependent field; everything countable must match).
-    for &(a, b) in &installed {
+    for &(a, b, m) in &installed {
         let l1 = *single.ledger(a).expect("scalar ledger");
         let l2 = sharded.ledger(b).expect("sharded ledger");
         assert_eq!(l1.invocations, l2.invocations, "invocations, {}", ctx(seed));
@@ -240,11 +331,32 @@ fn check_one(manager: &GraftManager, spec: &GraftSpec, tech: Technology, seed: u
         assert_eq!(l1.fuel_used, l2.fuel_used, "fuel, {}", ctx(seed));
         assert_eq!(l1.trap_counts, l2.trap_counts, "trap kinds, {}", ctx(seed));
         assert_eq!(single.state(a), sharded.state(b), "state, {}", ctx(seed));
+        let mg = model.graft(m).expect("model graft");
+        assert_ledger(&l1, mg, &ctx(seed));
+        assert_eq!(
+            single.state(a),
+            Some(mg.state),
+            "model state, {}",
+            ctx(seed)
+        );
+        assert_eq!(
+            single.quarantine_count(a),
+            Some(mg.rungs),
+            "model rung, {}",
+            ctx(seed)
+        );
         trace.push(l1.invocations as i64);
         trace.push(l1.traps as i64);
     }
 
-    // Every shard sees the same membership as the scalar host.
+    // Every shard sees the same membership as the scalar host, and the
+    // scalar host the model's.
+    assert_eq!(
+        single.active_len(POINT),
+        model.active_len(),
+        "model chain, {}",
+        ctx(seed)
+    );
     for s in 0..vs.len() {
         assert_eq!(
             single.active_len(POINT),
@@ -263,8 +375,12 @@ fn check_one(manager: &GraftManager, spec: &GraftSpec, tech: Technology, seed: u
 }
 
 /// `ShardedHost::install_front` with the same shape as the scalar call.
-fn vs_install_front(host: &ShardedHost, engine: Box<dyn graftbench::api::ExtensionEngine>) -> GraftId {
-    host.install_front(POINT, "pure", engine).expect("install front")
+fn vs_install_front(
+    host: &ShardedHost,
+    engine: Box<dyn graftbench::api::ExtensionEngine>,
+) -> GraftId {
+    host.install_front(POINT, "pure", engine)
+        .expect("install front")
 }
 
 /// >= 200 seeded interleavings for one technology.
@@ -272,9 +388,33 @@ fn run_equivalence(tech: Technology, base_seed: u64) {
     const INTERLEAVINGS: usize = 200;
     let manager = GraftManager::new();
     let spec = pure_spec();
+    let cfg = HostConfig::default();
     for i in 0..INTERLEAVINGS {
         let seed = base_seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        check_one(&manager, &spec, tech, seed);
+        check_one(&manager, &spec, tech, seed, cfg, pure_outcome);
+    }
+}
+
+#[test]
+fn backoff_ladder_matches_the_model_on_every_technology() {
+    // The default policy never auto-readmits (`backoff_base` 0), so the
+    // default-policy suites above never climb the ladder. Here every
+    // seed draws a short window and a low ban ceiling.
+    const INTERLEAVINGS: u64 = 40;
+    let manager = GraftManager::new();
+    let spec = pure_spec();
+    for tech in ALL_TECHS {
+        for i in 0..INTERLEAVINGS {
+            let seed = 0xB0FF ^ (tech as u64) << 32 ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            check_one(
+                &manager,
+                &spec,
+                tech,
+                seed,
+                backoff_config(seed),
+                pure_outcome,
+            );
+        }
     }
 }
 
@@ -322,8 +462,23 @@ fn interleavings_replay_identically_from_the_same_seed() {
     let spec = pure_spec();
     for i in 0..32u64 {
         let seed = 0xD00D_F00D ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let first = check_one(&manager, &spec, Technology::SafeCompiled, seed);
-        let again = check_one(&manager, &spec, Technology::SafeCompiled, seed);
+        let cfg = HostConfig::default();
+        let first = check_one(
+            &manager,
+            &spec,
+            Technology::SafeCompiled,
+            seed,
+            cfg,
+            pure_outcome,
+        );
+        let again = check_one(
+            &manager,
+            &spec,
+            Technology::SafeCompiled,
+            seed,
+            cfg,
+            pure_outcome,
+        );
         assert_eq!(first, again, "seed {seed:#x} did not replay");
     }
 }
@@ -448,7 +603,11 @@ fn scheduled_saboteur_replays_identically() {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut host = ShardedHost::new(3);
         let id = host
-            .install(POINT, "saboteur", manager.load(&spec, Technology::Bytecode).unwrap())
+            .install(
+                POINT,
+                "saboteur",
+                manager.load(&spec, Technology::Bytecode).unwrap(),
+            )
             .unwrap();
         let mut vs = VirtualShards::new(&mut host, seed);
         let mut step = 0u64;
@@ -572,13 +731,16 @@ fn merged_timeline_matches_the_scalar_event_stream() {
         // timeline carries exactly the scalar host's event sequence —
         // (point, tech, verdict, value) for every invocation, in the
         // same order (trace ids and shard stamps legitimately differ).
-        let scalar: Vec<_> = single.trace_events().iter().map(|e| e.semantics()).collect();
-        let merged: Vec<_> = vs
-            .merged_timeline()
+        let scalar: Vec<_> = single
+            .trace_events()
             .iter()
             .map(|e| e.semantics())
             .collect();
-        assert!(!scalar.is_empty(), "seed {seed:#x}: scalar recorded nothing");
+        let merged: Vec<_> = vs.merged_timeline().iter().map(|e| e.semantics()).collect();
+        assert!(
+            !scalar.is_empty(),
+            "seed {seed:#x}: scalar recorded nothing"
+        );
         assert_eq!(scalar, merged, "event streams diverge, seed {seed:#x}");
     }
 }
@@ -640,17 +802,19 @@ fn one_fuel_exhaustion_detaches_globally() {
 // once and quarantine semantics survive cross-shard handoff.
 // ---------------------------------------------------------------------
 
-/// One stealing interleaving against the scalar replay. Returns the
-/// replay trace so determinism can be asserted over repeated runs.
+/// One stealing interleaving under policy `cfg` against the scalar and
+/// model replays. Returns the replay trace so determinism can be
+/// asserted over repeated runs.
 fn check_one_stealing(
     manager: &GraftManager,
     spec: &GraftSpec,
     tech: Technology,
     seed: u64,
+    cfg: HostConfig,
 ) -> Vec<i64> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let shards = 2 + rng.bounded_u64(3) as usize; // stealing needs a peer
-    let mut sharded = ShardedHost::new(shards);
+    let mut sharded = ShardedHost::with_config(shards, cfg);
     let engine = manager.load(spec, tech).expect("sharded load");
     let id = sharded.install(POINT, "pure", engine).expect("install");
     let q: RunQueues<(i64, i64)> = sharded.run_queues(StealPolicy::default());
@@ -690,17 +854,37 @@ fn check_one_stealing(
     vs.flush_all();
     assert_eq!(order.len(), total, "plane lost or duplicated items, {ctx}");
 
-    // Scalar replay in the sharded plane's completion order.
-    let mut single = GraftHost::new();
+    // Scalar and model replays in the sharded plane's completion order.
+    let mut single = GraftHost::with_config(cfg);
     let sid = single
-        .install(POINT, "pure", manager.load(spec, tech).expect("scalar load"))
+        .install(
+            POINT,
+            "pure",
+            manager.load(spec, tech).expect("scalar load"),
+        )
         .expect("install");
+    let mut model = Model::new(cfg, pure_outcome);
+    let mid = model.install(false);
     let mut trace = vec![shards as i64];
     for (i, ((a, b), sharded_verdict)) in order.iter().enumerate() {
         let v = single.dispatch(POINT, |_| Ok(vec![*a, *b]));
         assert_eq!(v, *sharded_verdict, "verdict {i}/{total}, {ctx}");
+        assert_eq!(
+            v,
+            model.dispatch(true, *a, *b),
+            "model verdict {i}/{total}, {ctx}"
+        );
         trace.push(encode_verdict(v));
     }
+    let mg = model.graft(mid).expect("model graft");
+    assert_ledger(single.ledger(sid).expect("scalar ledger"), mg, &ctx);
+    assert_eq!(single.state(sid), Some(mg.state), "model state, {ctx}");
+    assert_eq!(
+        single.stats().dispatches,
+        model.stats.dispatches,
+        "model dispatches, {ctx}"
+    );
+    assert_eq!(sharded.stats(), model.stats, "model stats, {ctx}");
 
     // Ledger parity: every stolen dispatch charged exactly once.
     let l1 = *single.ledger(sid).expect("scalar ledger");
@@ -729,9 +913,15 @@ fn check_one_stealing(
     let pm2 = sharded.take_postmortems();
     let pm1 = single.postmortems();
     assert_eq!(pm1.len(), pm2.len(), "postmortem count, {ctx}");
-    for (x, y) in pm1.iter().zip(&pm2) {
+    assert_eq!(pm1.len(), model.trips.len(), "model trips, {ctx}");
+    for ((x, y), &(reason, strikes)) in pm1.iter().zip(&pm2).zip(&model.trips) {
         assert_eq!(x.reason, y.reason, "postmortem reason, {ctx}");
         assert_eq!(x.strikes, y.strikes, "postmortem strikes, {ctx}");
+        assert_eq!(
+            (x.reason, x.strikes),
+            (reason, strikes),
+            "model trip, {ctx}"
+        );
         // The sharded report freezes the *detaching shard's* local
         // ledger: it saw at least the fatal strike, never more than
         // the scalar (global) total — strikes on other shards merge at
@@ -742,7 +932,10 @@ fn check_one_stealing(
             y.ledger.traps,
             x.ledger.traps
         );
-        assert!(y.shard.is_some(), "sharded postmortem lost its shard, {ctx}");
+        assert!(
+            y.shard.is_some(),
+            "sharded postmortem lost its shard, {ctx}"
+        );
         if let (Some(ex), Some(ey)) = (x.events.last(), y.events.last()) {
             assert_eq!(
                 ex.semantics(),
@@ -762,7 +955,25 @@ fn run_steal_equivalence(tech: Technology, base_seed: u64) {
     let spec = pure_spec();
     for i in 0..INTERLEAVINGS {
         let seed = base_seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        check_one_stealing(&manager, &spec, tech, seed);
+        check_one_stealing(&manager, &spec, tech, seed, HostConfig::default());
+    }
+}
+
+#[test]
+fn stealing_backoff_ladder_matches_the_model() {
+    // Stolen and fused dispatches must tick the backoff window and
+    // climb to the ban exactly like scalar ones.
+    let manager = GraftManager::new();
+    let spec = pure_spec();
+    for tech in [
+        Technology::SafeCompiled,
+        Technology::Bytecode,
+        Technology::RustNative,
+    ] {
+        for i in 0..40u64 {
+            let seed = 0x5BAC ^ (tech as u64) << 32 ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            check_one_stealing(&manager, &spec, tech, seed, backoff_config(seed));
+        }
     }
 }
 
@@ -807,8 +1018,9 @@ fn stealing_interleavings_replay_identically_from_the_same_seed() {
     let spec = pure_spec();
     for i in 0..16u64 {
         let seed = 0x57EA_D00D ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let first = check_one_stealing(&manager, &spec, Technology::Bytecode, seed);
-        let again = check_one_stealing(&manager, &spec, Technology::Bytecode, seed);
+        let cfg = HostConfig::default();
+        let first = check_one_stealing(&manager, &spec, Technology::Bytecode, seed, cfg);
+        let again = check_one_stealing(&manager, &spec, Technology::Bytecode, seed, cfg);
         assert_eq!(first, again, "seed {seed:#x} did not replay");
     }
 }
@@ -846,18 +1058,22 @@ fn saboteur_quarantined_mid_steal_names_the_thief_and_counts_once() {
         let mut vs = VirtualShards::new(&mut host, 0x7EEF);
         let to_args = |&(a, b): &(i64, i64)| vec![a, b];
         let mut order: Vec<((i64, i64), Verdict)> = Vec::new();
-        let stolen = vs.shard_mut(thief).drain_queue_with(&q, POINT, to_args, |w, v| {
-            order.push((w.payload, v));
-        });
+        let stolen = vs
+            .shard_mut(thief)
+            .drain_queue_with(&q, POINT, to_args, |w, v| {
+                order.push((w.payload, v));
+            });
         assert_eq!(stolen, 5, "{tech}: thief did not steal the back half");
         assert!(host.is_quarantined(id), "{tech}: saboteur survived");
         // The home shard mops up its remaining front half against a
         // detached chain.
         let mut rest = 0;
         while q.total_depth() > 0 {
-            rest += vs.shard_mut(home).drain_queue_with(&q, POINT, to_args, |w, v| {
-                order.push((w.payload, v));
-            });
+            rest += vs
+                .shard_mut(home)
+                .drain_queue_with(&q, POINT, to_args, |w, v| {
+                    order.push((w.payload, v));
+                });
         }
         assert_eq!(rest, 5, "{tech}: home lost its front half");
         vs.flush_all();
@@ -867,7 +1083,11 @@ fn saboteur_quarantined_mid_steal_names_the_thief_and_counts_once() {
         assert_eq!(ledger.invocations, 5, "{tech}: stolen batch miscounted");
         let pm = host.take_postmortems();
         assert_eq!(pm.len(), 1, "{tech}");
-        assert_eq!(pm[0].shard, Some(thief as u32), "{tech}: wrong shard blamed");
+        assert_eq!(
+            pm[0].shard,
+            Some(thief as u32),
+            "{tech}: wrong shard blamed"
+        );
         assert_eq!(pm[0].strikes as u64, threshold, "{tech}");
 
         // Scalar replay in completion order.
