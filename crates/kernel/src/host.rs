@@ -1,28 +1,21 @@
 //! The multi-tenant graft host: chains, ledgers, and the quarantine
 //! supervisor.
 
-use std::collections::BTreeMap;
-use std::time::Instant;
+use graft_api::{ExtensionEngine, GraftError, GraftLedger, Technology, TrapKind, Verdict};
+use graft_telemetry::TraceEvent;
 
-use graft_api::{
-    EntryId, ExtensionEngine, GraftError, GraftLedger, Technology, Trap, TrapKind, Verdict,
-};
-use graft_telemetry::{TraceBuffer, TraceEvent, TraceId, TRACE_SHARD_SCALAR};
-
+use crate::dispatch::{no_such_graft, Book, Core, Ident, Slot};
 use crate::point::AttachPoint;
-use crate::postmortem::{PostmortemReport, POSTMORTEM_TAIL};
+use crate::postmortem::PostmortemReport;
 use crate::recovery::{self, SalvagedState};
-
-/// Chain depths recorded in the `kernel.chain_depth` histogram are
-/// clamped to this many slots (depth 16+ shares the last slot).
-pub(crate) const DEPTH_SLOTS: usize = 17;
 
 /// Supervisor policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostConfig {
     /// Trapped invocations before a graft is quarantined (the paper's
     /// "unload the extension" containment response). A single
-    /// [`Trap::FuelExhausted`] quarantines immediately regardless.
+    /// [`Trap::FuelExhausted`](graft_api::Trap::FuelExhausted)
+    /// quarantines immediately regardless.
     pub trap_threshold: u32,
     /// Execution budget applied to every installed engine that meters
     /// fuel (`None` leaves engines unmetered).
@@ -164,17 +157,12 @@ impl HostStats {
     }
 }
 
-struct InstalledGraft {
-    name: String,
-    tech: Technology,
-    engine: Box<dyn ExtensionEngine>,
-    entry: EntryId,
-    ledger: GraftLedger,
+/// `GraftHost`'s supervisor book: plain fields, no atomics.
+pub(crate) struct ScalarBook {
+    ident: Ident,
     state: GraftState,
     /// Trapped invocations since the last (re-)admission.
     strikes: u32,
-    /// Region names the supervisor must salvage at detach time.
-    salvage_plan: Vec<String>,
     /// State salvaged at the most recent detach, if any.
     salvage: Option<SalvagedState>,
     /// Lifetime quarantine trips (the backoff ladder's rung).
@@ -184,12 +172,26 @@ struct InstalledGraft {
     backoff_remaining: u64,
 }
 
-impl InstalledGraft {
-    fn dispatchable(&self) -> bool {
-        !matches!(
-            self.state,
-            GraftState::Quarantined { .. } | GraftState::Banned
-        )
+/// What `GraftHost`'s books update besides themselves.
+pub(crate) struct ScalarCtx {
+    config: HostConfig,
+    /// Postmortems captured at quarantine trips, oldest first.
+    postmortems: Vec<PostmortemReport>,
+}
+
+impl Book for ScalarBook {
+    type Ctx = ScalarCtx;
+
+    fn config(ctx: &ScalarCtx) -> &HostConfig {
+        &ctx.config
+    }
+
+    fn ident(&self) -> &Ident {
+        &self.ident
+    }
+
+    fn state(&self) -> GraftState {
+        self.state
     }
 
     fn note_clean(&mut self) {
@@ -201,81 +203,69 @@ impl InstalledGraft {
         }
     }
 
-    /// Accounts one trap against this graft; returns `true` when it
-    /// trips the quarantine supervisor.
-    fn note_trap(&mut self, trap: &Trap, threshold: u32) -> bool {
+    fn add_strike(&mut self) -> u32 {
         self.strikes += 1;
-        let instant = trap.kind() == TrapKind::FuelExhausted
-            || matches!(self.state, GraftState::Probation { .. });
-        if instant || self.strikes >= threshold {
-            self.state = GraftState::Quarantined { by: trap.kind() };
-            true
-        } else {
-            false
-        }
+        self.strikes
     }
-}
 
-/// Post-detach bookkeeping shared by `dispatch` and `invoke`: salvage
-/// the planned regions out of the still-reachable engine, then arm the
-/// backoff ladder (or ban at the ceiling). A free function because the
-/// callers hold a mutable borrow of the graft alongside the host's
-/// stats field.
-/// Builds a [`PostmortemReport`] for a graft the supervisor just
-/// detached: ledger, backoff position, salvage outcome, and the tail of
-/// the graft's events from `recorder` (empty unless recording).
-fn capture_postmortem(
-    id: u64,
-    g: &InstalledGraft,
-    reason: TrapKind,
-    recorder: &TraceBuffer,
-    shard: Option<u32>,
-) -> PostmortemReport {
-    let mut events: Vec<TraceEvent> = recorder
-        .events()
-        .into_iter()
-        .filter(|e| e.graft == id)
-        .collect();
-    if events.len() > POSTMORTEM_TAIL {
-        events.drain(..events.len() - POSTMORTEM_TAIL);
+    fn strikes(&self) -> u32 {
+        self.strikes
     }
-    PostmortemReport {
-        graft: g.name.clone(),
-        graft_id: id,
-        tech: g.tech,
-        reason,
-        state: g.state,
-        ledger: g.ledger,
-        strikes: g.strikes,
-        quarantines: g.quarantines,
-        backoff_remaining: g.backoff_remaining,
-        salvaged_words: g.salvage.as_ref().map(SalvagedState::words),
-        events,
-        detached_at_ns: graft_telemetry::now_ns(),
-        shard,
-    }
-}
 
-fn on_quarantine_trip(config: &HostConfig, stats: &mut HostStats, g: &mut InstalledGraft) {
-    stats.quarantine_trips += 1;
-    g.quarantines = g.quarantines.saturating_add(1);
-    if !g.salvage_plan.is_empty() {
-        if let Some(s) = recovery::salvage(&g.name, g.tech, g.engine.as_ref(), &g.salvage_plan) {
-            stats.salvages += 1;
-            stats.salvaged_words += s.words() as u64;
-            g.salvage = Some(s);
-        }
+    fn quarantine(&mut self, by: TrapKind, _: &ScalarCtx) -> bool {
+        self.state = GraftState::Quarantined { by };
+        true
     }
-    if config.backoff_base > 0 {
-        if g.quarantines >= config.ban_ceiling.max(1) {
-            g.state = GraftState::Banned;
-            stats.bans += 1;
-        } else {
-            // Window doubles with each trip: base << (trips - 1).
-            g.backoff_remaining = config
-                .backoff_base
-                .saturating_mul(1u64 << u64::from(g.quarantines - 1).min(62));
+
+    fn add_trip(&mut self) -> u32 {
+        self.quarantines = self.quarantines.saturating_add(1);
+        self.quarantines
+    }
+
+    fn ban(&mut self) {
+        self.state = GraftState::Banned;
+    }
+
+    fn set_backoff(&mut self, window: u64) {
+        self.backoff_remaining = window;
+    }
+
+    fn backoff_remaining(&self) -> u64 {
+        self.backoff_remaining
+    }
+
+    fn tick_backoff(&mut self) -> bool {
+        if self.backoff_remaining == 0 || !matches!(self.state, GraftState::Quarantined { .. }) {
+            return false;
         }
+        self.backoff_remaining -= 1;
+        self.backoff_remaining == 0
+    }
+
+    fn readmit(&mut self, ctx: &ScalarCtx) -> bool {
+        if !matches!(self.state, GraftState::Quarantined { .. }) {
+            return false;
+        }
+        self.strikes = 0;
+        self.backoff_remaining = 0;
+        self.state = GraftState::Probation {
+            remaining_clean: ctx.config.probation_clean.max(1),
+        };
+        true
+    }
+
+    fn settle(&mut self, local: &mut GraftLedger) -> GraftLedger {
+        *local
+    }
+
+    fn file(
+        &mut self,
+        ctx: &mut ScalarCtx,
+        salvage: Option<SalvagedState>,
+        report: PostmortemReport,
+    ) {
+        self.salvage = salvage;
+        ctx.postmortems.push(report);
     }
 }
 
@@ -288,26 +278,8 @@ fn on_quarantine_trip(config: &HostConfig, stats: &mut HostStats, g: &mut Instal
 /// (and only that graft), and a chain that declines entirely yields
 /// [`Verdict::Continue`] so the substrate's built-in policy applies.
 pub struct GraftHost {
-    config: HostConfig,
-    grafts: BTreeMap<u64, InstalledGraft>,
-    chains: [Vec<u64>; AttachPoint::COUNT],
+    core: Core<ScalarBook>,
     next_id: u64,
-    stats: HostStats,
-    depth_counts: [u64; DEPTH_SLOTS],
-    /// Counts already pushed to telemetry by [`GraftHost::flush`];
-    /// subtracted on the next flush so nothing is double-counted.
-    published: HostStats,
-    published_depth: [u64; DEPTH_SLOTS],
-    /// The host's flight recorder: one [`TraceEvent`] per consulted
-    /// graft when recording is armed (`graft_telemetry::set_tracing`).
-    /// Thread-confined, lock-free; flushed to the global trace ring by
-    /// [`GraftHost::flush`].
-    recorder: TraceBuffer,
-    /// Dispatches traced so far — the per-source sequence
-    /// [`TraceId::mint`] consumes.
-    trace_seq: u64,
-    /// Postmortems captured at quarantine trips, oldest first.
-    postmortems: Vec<PostmortemReport>,
 }
 
 impl Default for GraftHost {
@@ -324,29 +296,24 @@ impl GraftHost {
 
     /// A host with an explicit supervisor policy.
     pub fn with_config(config: HostConfig) -> Self {
-        GraftHost {
+        let ctx = ScalarCtx {
             config,
-            grafts: BTreeMap::new(),
-            chains: std::array::from_fn(|_| Vec::new()),
-            next_id: 1,
-            stats: HostStats::default(),
-            depth_counts: [0; DEPTH_SLOTS],
-            published: HostStats::default(),
-            published_depth: [0; DEPTH_SLOTS],
-            recorder: TraceBuffer::new(graft_telemetry::TRACE_BUFFER_CAPACITY),
-            trace_seq: 0,
             postmortems: Vec::new(),
+        };
+        GraftHost {
+            core: Core::new(ctx, None),
+            next_id: 1,
         }
     }
 
     /// The supervisor policy in force.
     pub fn config(&self) -> HostConfig {
-        self.config
+        *self.core.config()
     }
 
     /// Aggregate statistics so far.
     pub fn stats(&self) -> HostStats {
-        self.stats
+        self.core.meter.stats
     }
 
     /// Installs `engine` at the end of `point`'s chain, binding the
@@ -382,59 +349,47 @@ impl GraftHost {
     ) -> Result<GraftId, GraftError> {
         // Bind once, up front: dispatch never does a string lookup.
         let entry = engine.bind_entry(point.entry())?;
-        engine.set_fuel(self.config.fuel_budget);
+        engine.set_fuel(self.core.config().fuel_budget);
         let id = self.next_id;
         self.next_id += 1;
-        self.grafts.insert(
-            id,
-            InstalledGraft {
+        let book = ScalarBook {
+            ident: Ident {
                 name: name.to_string(),
                 tech: engine.technology(),
-                engine,
-                entry,
-                ledger: GraftLedger::default(),
-                state: GraftState::Active,
-                strikes: 0,
-                salvage_plan: Vec::new(),
-                salvage: None,
-                quarantines: 0,
-                backoff_remaining: 0,
+                plan: Vec::new(),
             },
-        );
-        let chain = &mut self.chains[point as usize];
-        chain.insert(at.min(chain.len()), id);
-        self.stats.installs += 1;
+            state: GraftState::Active,
+            strikes: 0,
+            salvage: None,
+            quarantines: 0,
+            backoff_remaining: 0,
+        };
+        self.core
+            .link(point, id, at, Slot::new(engine, entry, book));
+        self.core.meter.stats.installs += 1;
         Ok(GraftId(id))
     }
 
     /// Removes a graft from its chain and drops its engine. Returns
     /// `false` for an unknown id.
     pub fn uninstall(&mut self, id: GraftId) -> bool {
-        if self.grafts.remove(&id.0).is_none() {
+        if self.core.unlink(id.0).is_none() {
             return false;
         }
-        for chain in &mut self.chains {
-            chain.retain(|&g| g != id.0);
-        }
-        self.stats.uninstalls += 1;
+        self.core.meter.stats.uninstalls += 1;
         true
     }
 
     /// Re-admits a quarantined graft on probation. Returns `false`
     /// unless the graft exists and is currently quarantined.
     pub fn readmit(&mut self, id: GraftId) -> bool {
-        let Some(g) = self.grafts.get_mut(&id.0) else {
+        let Some(g) = self.core.grafts.get_mut(&id.0) else {
             return false;
         };
-        if !matches!(g.state, GraftState::Quarantined { .. }) {
+        if !g.book.readmit(&self.core.meter.ctx) {
             return false;
         }
-        g.strikes = 0;
-        g.backoff_remaining = 0;
-        g.state = GraftState::Probation {
-            remaining_clean: self.config.probation_clean.max(1),
-        };
-        self.stats.readmits += 1;
+        self.core.meter.stats.readmits += 1;
         true
     }
 
@@ -443,57 +398,64 @@ impl GraftHost {
     /// example). Each name is validated against the engine now, so a
     /// typo fails at configure time, not at detach time.
     pub fn set_salvage_plan(&mut self, id: GraftId, regions: &[&str]) -> Result<(), GraftError> {
-        let Some(g) = self.grafts.get_mut(&id.0) else {
-            return Err(GraftError::Unavailable {
-                graft: format!("graft#{}", id.0),
-                missing: "installation (no such graft)".into(),
-            });
-        };
+        let g = self
+            .core
+            .grafts
+            .get_mut(&id.0)
+            .ok_or_else(|| no_such_graft(id.0))?;
         for name in regions {
             g.engine.bind_region(name)?;
         }
-        g.salvage_plan = regions.iter().map(|s| s.to_string()).collect();
+        g.book.ident.plan = regions.iter().map(|s| s.to_string()).collect();
         Ok(())
+    }
+
+    fn book(&self, id: GraftId) -> Option<&ScalarBook> {
+        self.core.grafts.get(&id.0).map(|g| &g.book)
     }
 
     /// The state salvaged at this graft's most recent detach, if the
     /// supervisor managed to lift it out.
     pub fn salvage_ref(&self, id: GraftId) -> Option<&SalvagedState> {
-        self.grafts.get(&id.0).and_then(|g| g.salvage.as_ref())
+        self.book(id).and_then(|b| b.salvage.as_ref())
     }
 
     /// Takes ownership of the salvaged state (e.g. to re-seed a
     /// replacement graft or the built-in policy).
     pub fn take_salvage(&mut self, id: GraftId) -> Option<SalvagedState> {
-        self.grafts.get_mut(&id.0).and_then(|g| g.salvage.take())
+        self.core
+            .grafts
+            .get_mut(&id.0)
+            .and_then(|g| g.book.salvage.take())
     }
 
     /// Snapshots the graft's salvage plan from its *live* engine right
     /// now, without detaching — an explicit checkpoint.
     pub fn salvage_now(&mut self, id: GraftId) -> Option<SalvagedState> {
-        let g = self.grafts.get(&id.0)?;
-        if g.salvage_plan.is_empty() {
+        let g = self.core.grafts.get(&id.0)?;
+        let Ident { name, tech, plan } = &g.book.ident;
+        if plan.is_empty() {
             return None;
         }
-        let s = recovery::salvage(&g.name, g.tech, g.engine.as_ref(), &g.salvage_plan)?;
-        self.stats.salvages += 1;
-        self.stats.salvaged_words += s.words() as u64;
+        let s = recovery::salvage(name, *tech, g.engine.as_ref(), plan)?;
+        self.core.meter.stats.salvages += 1;
+        self.core.meter.stats.salvaged_words += s.words() as u64;
         Some(s)
     }
 
     /// Lifetime quarantine trips for one graft (the backoff rung).
     pub fn quarantine_count(&self, id: GraftId) -> Option<u32> {
-        self.grafts.get(&id.0).map(|g| g.quarantines)
+        self.book(id).map(|b| b.quarantines)
     }
 
     /// The ledger of one graft.
     pub fn ledger(&self, id: GraftId) -> Option<&GraftLedger> {
-        self.grafts.get(&id.0).map(|g| &g.ledger)
+        self.core.grafts.get(&id.0).map(|g| &g.ledger)
     }
 
     /// The lifecycle state of one graft.
     pub fn state(&self, id: GraftId) -> Option<GraftState> {
-        self.grafts.get(&id.0).map(|g| g.state)
+        self.book(id).map(|b| b.state)
     }
 
     /// Whether the supervisor has detached this graft.
@@ -503,30 +465,30 @@ impl GraftHost {
 
     /// The technology a graft was installed under.
     pub fn technology(&self, id: GraftId) -> Option<Technology> {
-        self.grafts.get(&id.0).map(|g| g.tech)
+        self.book(id).map(|b| b.ident.tech)
     }
 
     /// The name a graft was installed under.
     pub fn name(&self, id: GraftId) -> Option<&str> {
-        self.grafts.get(&id.0).map(|g| g.name.as_str())
+        self.book(id).map(|b| b.ident.name.as_str())
     }
 
     /// Direct engine access, e.g. to re-marshal state after re-admission.
     pub fn engine_mut(&mut self, id: GraftId) -> Option<&mut (dyn ExtensionEngine + '_)> {
-        self.grafts.get_mut(&id.0).map(|g| g.engine.as_mut() as _)
+        self.core
+            .grafts
+            .get_mut(&id.0)
+            .map(|g| g.engine.as_mut() as _)
     }
 
     /// The chain installed at `point`, in dispatch order.
     pub fn chain(&self, point: AttachPoint) -> Vec<GraftId> {
-        self.chains[point as usize].iter().map(|&id| GraftId(id)).collect()
+        self.core.chain(point)
     }
 
     /// Grafts at `point` that dispatch would actually consult.
     pub fn active_len(&self, point: AttachPoint) -> usize {
-        self.chains[point as usize]
-            .iter()
-            .filter(|id| self.grafts[id].dispatchable())
-            .count()
+        self.core.active_len(point)
     }
 
     /// Walks `point`'s chain: marshals each non-quarantined graft with
@@ -535,248 +497,18 @@ impl GraftHost {
     /// returns the first `Override`. Traps and marshalling failures are
     /// charged to the offending graft and the walk continues — one bad
     /// tenant never takes the attach point down.
-    pub fn dispatch<F>(&mut self, point: AttachPoint, mut marshal: F) -> Verdict
+    pub fn dispatch<F>(&mut self, point: AttachPoint, marshal: F) -> Verdict
     where
         F: FnMut(&mut dyn ExtensionEngine) -> Result<Vec<i64>, GraftError>,
     {
-        let p = point as usize;
-        self.stats.dispatches += 1;
-        let depth = self.active_len(point);
-        self.depth_counts[depth.min(DEPTH_SLOTS - 1)] += 1;
-        // One causal id per dispatch, threaded through every invocation
-        // it causes (including across the upcall wire). Minting and
-        // recording happen only in recording mode: gated mode costs two
-        // relaxed loads, off mode one.
-        let tracing = graft_telemetry::tracing();
-        let trace = if tracing {
-            self.trace_seq += 1;
-            TraceId::mint(0, self.trace_seq)
-        } else {
-            TraceId::NONE
-        };
-        let mut chain_seq: u32 = 0;
-        for i in 0..self.chains[p].len() {
-            let id = self.chains[p][i];
-            let Some(g) = self.grafts.get_mut(&id) else {
-                continue;
-            };
-            if !g.dispatchable() {
-                // Backoff re-admission: every dispatch the chain serves
-                // *without* this graft counts toward its clean built-in
-                // window; at zero the ladder re-admits it on probation.
-                if g.backoff_remaining > 0
-                    && matches!(g.state, GraftState::Quarantined { .. })
-                {
-                    g.backoff_remaining -= 1;
-                    if g.backoff_remaining == 0 {
-                        g.strikes = 0;
-                        g.state = GraftState::Probation {
-                            remaining_clean: self.config.probation_clean.max(1),
-                        };
-                        self.stats.readmits += 1;
-                        self.stats.auto_readmits += 1;
-                    }
-                }
-                continue;
-            }
-            let started = Instant::now();
-            let args = match marshal(g.engine.as_mut()) {
-                Ok(args) => args,
-                Err(_) => {
-                    // Kernel-side marshalling failed for this tenant
-                    // (e.g. a dead upcall transport). Skip it; do not
-                    // charge its ledger for a fault that is not its
-                    // code's.
-                    self.stats.marshal_failures += 1;
-                    if tracing {
-                        self.recorder.record(TraceEvent {
-                            ts_ns: graft_telemetry::since_epoch_ns(started),
-                            trace,
-                            seq: chain_seq,
-                            graft: id,
-                            shard: TRACE_SHARD_SCALAR,
-                            point: p as u8,
-                            tech: g.tech as u8,
-                            verdict: graft_telemetry::TRACE_VERDICT_MARSHAL_FAIL,
-                            value: 0,
-                            duration_ns: started.elapsed().as_nanos().min(u64::MAX as u128)
-                                as u64,
-                            fuel: 0,
-                        });
-                    }
-                    chain_seq += 1;
-                    continue;
-                }
-            };
-            let result = if tracing {
-                g.engine.invoke_id_traced(g.entry, &args, trace)
-            } else {
-                g.engine.invoke_id(g.entry, &args)
-            };
-            let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            let fuel = g.engine.fuel_used();
-            match result {
-                Ok(ret) => {
-                    g.ledger.record_ok(ns, fuel);
-                    g.note_clean();
-                    self.stats.invocations += 1;
-                    let verdict = point.decode(ret);
-                    if tracing {
-                        let (code, value) = match verdict {
-                            Verdict::Override(v) => (graft_telemetry::TRACE_VERDICT_OVERRIDE, v),
-                            Verdict::Continue => (graft_telemetry::TRACE_VERDICT_CONTINUE, 0),
-                        };
-                        self.recorder.record(TraceEvent {
-                            ts_ns: graft_telemetry::since_epoch_ns(started),
-                            trace,
-                            seq: chain_seq,
-                            graft: id,
-                            shard: TRACE_SHARD_SCALAR,
-                            point: p as u8,
-                            tech: g.tech as u8,
-                            verdict: code,
-                            value,
-                            duration_ns: ns,
-                            fuel: fuel.unwrap_or(0),
-                        });
-                    }
-                    match verdict {
-                        v @ Verdict::Override(_) => {
-                            self.stats.overrides += 1;
-                            return v;
-                        }
-                        Verdict::Continue => self.stats.continues += 1,
-                    }
-                }
-                Err(GraftError::Trap(trap)) => {
-                    g.ledger.record_trap(ns, fuel, &trap);
-                    self.stats.invocations += 1;
-                    self.stats.traps += 1;
-                    if tracing {
-                        self.recorder.record(TraceEvent {
-                            ts_ns: graft_telemetry::since_epoch_ns(started),
-                            trace,
-                            seq: chain_seq,
-                            graft: id,
-                            shard: TRACE_SHARD_SCALAR,
-                            point: p as u8,
-                            tech: g.tech as u8,
-                            verdict: graft_telemetry::TRACE_VERDICT_TRAP,
-                            value: trap.kind() as usize as i64,
-                            duration_ns: ns,
-                            fuel: fuel.unwrap_or(0),
-                        });
-                    }
-                    if g.note_trap(&trap, self.config.trap_threshold) {
-                        on_quarantine_trip(&self.config, &mut self.stats, g);
-                        self.postmortems.push(capture_postmortem(
-                            id,
-                            g,
-                            trap.kind(),
-                            &self.recorder,
-                            None,
-                        ));
-                    }
-                }
-                Err(_) => {
-                    // Non-trap framework error: skip, keep serving.
-                    self.stats.marshal_failures += 1;
-                }
-            }
-            chain_seq += 1;
-        }
-        self.stats.defaults += 1;
-        Verdict::Continue
+        self.core.dispatch(point, marshal)
     }
 
     /// Invokes one graft directly through the host, with full ledger
     /// accounting and the quarantine gate: a detached graft returns a
     /// deterministic [`GraftError::Unavailable`], never a panic.
     pub fn invoke(&mut self, id: GraftId, args: &[i64]) -> Result<i64, GraftError> {
-        let Some(g) = self.grafts.get_mut(&id.0) else {
-            return Err(GraftError::Unavailable {
-                graft: format!("graft#{}", id.0),
-                missing: "installation (no such graft)".into(),
-            });
-        };
-        match g.state {
-            GraftState::Quarantined { .. } => {
-                return Err(GraftError::Unavailable {
-                    graft: g.name.clone(),
-                    missing: "detached by quarantine supervisor".into(),
-                });
-            }
-            GraftState::Banned => {
-                return Err(GraftError::Unavailable {
-                    graft: g.name.clone(),
-                    missing: "permanently banned at the backoff ceiling".into(),
-                });
-            }
-            _ => {}
-        }
-        let tracing = graft_telemetry::tracing();
-        let trace = if tracing {
-            self.trace_seq += 1;
-            TraceId::mint(0, self.trace_seq)
-        } else {
-            TraceId::NONE
-        };
-        let started = Instant::now();
-        let result = if tracing {
-            g.engine.invoke_id_traced(g.entry, args, trace)
-        } else {
-            g.engine.invoke_id(g.entry, args)
-        };
-        let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let fuel = g.engine.fuel_used();
-        self.stats.invocations += 1;
-        if tracing {
-            // Direct invocations have no attach point (`u8::MAX`); an
-            // `Ok` records the return value under the override verdict.
-            let (verdict, value) = match &result {
-                Ok(ret) => (graft_telemetry::TRACE_VERDICT_OVERRIDE, *ret),
-                Err(GraftError::Trap(trap)) => (
-                    graft_telemetry::TRACE_VERDICT_TRAP,
-                    trap.kind() as usize as i64,
-                ),
-                Err(_) => (graft_telemetry::TRACE_VERDICT_MARSHAL_FAIL, 0),
-            };
-            self.recorder.record(TraceEvent {
-                ts_ns: graft_telemetry::since_epoch_ns(started),
-                trace,
-                seq: 0,
-                graft: id.0,
-                shard: TRACE_SHARD_SCALAR,
-                point: u8::MAX,
-                tech: g.tech as u8,
-                verdict,
-                value,
-                duration_ns: ns,
-                fuel: fuel.unwrap_or(0),
-            });
-        }
-        match &result {
-            Ok(_) => {
-                g.ledger.record_ok(ns, fuel);
-                g.note_clean();
-            }
-            Err(GraftError::Trap(trap)) => {
-                g.ledger.record_trap(ns, fuel, trap);
-                self.stats.traps += 1;
-                if g.note_trap(trap, self.config.trap_threshold) {
-                    on_quarantine_trip(&self.config, &mut self.stats, g);
-                    self.postmortems.push(capture_postmortem(
-                        id.0,
-                        g,
-                        trap.kind(),
-                        &self.recorder,
-                        None,
-                    ));
-                }
-            }
-            Err(_) => self.stats.marshal_failures += 1,
-        }
-        result
+        self.core.invoke(id.0, args)
     }
 
     /// Flushes statistics accumulated since the last flush into the
@@ -794,13 +526,12 @@ impl GraftHost {
     /// snapshotting telemetry, or never — `Drop` still covers the
     /// normal teardown *and* unwinding out of a panicking dispatch.
     pub fn flush(&mut self) {
-        let s = self.stats.delta_since(&self.published);
-        self.published = self.stats;
-        let depth_prev = self.published_depth;
-        self.published_depth = self.depth_counts;
+        let meter = &mut self.core.meter;
+        let s = meter.take_delta();
+        meter.publish_depth();
         // Publishes only events not yet flushed, and accounts every
         // overwritten-unpublished event to `telemetry.trace.dropped`.
-        self.recorder.flush();
+        meter.recorder.flush();
         if !graft_telemetry::enabled() {
             return;
         }
@@ -819,27 +550,23 @@ impl GraftHost {
         graft_telemetry::counter!("kernel.recovery.salvaged_words").add(s.salvaged_words);
         graft_telemetry::counter!("kernel.recovery.auto_readmits").add(s.auto_readmits);
         graft_telemetry::counter!("kernel.recovery.bans").add(s.bans);
-        let depth = graft_telemetry::histogram!("kernel.chain_depth");
-        for (d, (&n, &p)) in self.depth_counts.iter().zip(depth_prev.iter()).enumerate() {
-            depth.record_n(d as u64, n.saturating_sub(p));
-        }
     }
 
     /// Every trace event still retained by this host's flight recorder,
     /// oldest first (empty unless recording was armed).
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.recorder.events()
+        self.core.meter.recorder.events()
     }
 
     /// Postmortem reports captured at quarantine trips, oldest first.
     pub fn postmortems(&self) -> &[PostmortemReport] {
-        &self.postmortems
+        &self.core.meter.ctx.postmortems
     }
 
     /// Takes ownership of the captured postmortems (e.g. to embed them
     /// in a run artifact).
     pub fn take_postmortems(&mut self) -> Vec<PostmortemReport> {
-        std::mem::take(&mut self.postmortems)
+        std::mem::take(&mut self.core.meter.ctx.postmortems)
     }
 }
 
@@ -855,7 +582,7 @@ impl Drop for GraftHost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graft_api::{EntryPoint, NativeEngine, RegionSpec, RegionStore};
+    use graft_api::{EntryPoint, NativeEngine, RegionSpec, RegionStore, Trap};
 
     /// A tiny native engine exporting `select_victim/2` whose body is
     /// the given closure.
@@ -1230,9 +957,10 @@ mod tests {
         host.flush();
         // Everything accumulated so far is now published: the pending
         // delta is zero, so a second flush (or Drop) adds nothing.
-        assert_eq!(host.stats.delta_since(&host.published), HostStats::default());
+        let meter = &host.core.meter;
+        assert_eq!(meter.stats.delta_since(&meter.published), HostStats::default());
         host.flush();
-        assert_eq!(host.published.dispatches, 5);
+        assert_eq!(host.core.meter.published.dispatches, 5);
         // Leak the host. Without the explicit flush above these five
         // dispatches would never reach telemetry.
         std::mem::forget(host);

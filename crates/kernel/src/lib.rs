@@ -46,6 +46,7 @@
 //! logical-disk write path) through their policy traits.
 
 pub mod adapters;
+mod dispatch;
 pub mod host;
 pub mod point;
 pub mod postmortem;

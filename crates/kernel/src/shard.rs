@@ -50,18 +50,16 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
-use graft_api::{
-    EntryId, ExtensionEngine, GraftError, GraftLedger, Technology, TrapKind, Verdict,
-};
+use graft_api::{ExtensionEngine, GraftError, GraftLedger, Technology, TrapKind, Verdict};
 use graft_rng::{SliceRandom, SmallRng};
-use graft_telemetry::{TraceBuffer, TraceEvent, TraceId};
+use graft_telemetry::{TraceEvent, TraceId};
 
-use crate::host::{GraftHost, GraftId, GraftState, HostConfig, HostStats, DEPTH_SLOTS};
+use crate::dispatch::{ns_since, Book, Call, Core, Ident, Slot};
+use crate::host::{GraftHost, GraftId, GraftState, HostConfig, HostStats};
 use crate::point::AttachPoint;
-use crate::postmortem::{PostmortemReport, POSTMORTEM_TAIL};
-use crate::recovery::{self, SalvagedState};
+use crate::postmortem::PostmortemReport;
+use crate::recovery::SalvagedState;
 use crate::steal::{RunQueues, StealPolicy, WorkItem};
 
 const STATE_ACTIVE: u32 = 0;
@@ -87,7 +85,8 @@ impl AtomicLedger {
         if local.invocations == 0 && local.traps == 0 {
             return;
         }
-        self.invocations.fetch_add(local.invocations, Ordering::Relaxed);
+        self.invocations
+            .fetch_add(local.invocations, Ordering::Relaxed);
         self.traps.fetch_add(local.traps, Ordering::Relaxed);
         self.cum_ns.fetch_add(local.cum_ns, Ordering::Relaxed);
         self.fuel_used.fetch_add(local.fuel_used, Ordering::Relaxed);
@@ -123,14 +122,7 @@ impl AtomicLedger {
 /// dispatch path takes a lock.
 struct SharedGraft {
     id: u64,
-    name: String,
-    tech: Technology,
-    /// Install generation: the global epoch when this graft was
-    /// (re-)admitted. A detach stamps the epoch *at detach time*, so
-    /// `detach_epoch > generation` always identifies the incarnation
-    /// that was detached — a stale observation of a previous
-    /// incarnation can never quarantine a re-admitted graft.
-    generation: AtomicU64,
+    ident: Ident,
     /// Trapped invocations since (re-)admission, summed over shards.
     strikes: AtomicU32,
     state: AtomicU32,
@@ -141,9 +133,6 @@ struct SharedGraft {
     /// Global epoch stamped by the winning detach.
     detach_epoch: AtomicU64,
     ledger: AtomicLedger,
-    /// Region names the winning detach shard must salvage out of its
-    /// replica (fixed at install; empty = nothing to salvage).
-    salvage_plan: Vec<String>,
     /// State salvaged by the most recent winning detach. Mutex, not an
     /// atomic: only the winning shard writes it, only the control plane
     /// reads it — strictly off the dispatch path.
@@ -161,25 +150,16 @@ struct SharedGraft {
 }
 
 impl SharedGraft {
-    fn new(
-        id: u64,
-        name: &str,
-        tech: Technology,
-        generation: u64,
-        salvage_plan: Vec<String>,
-    ) -> Self {
+    fn new(id: u64, ident: Ident) -> Self {
         SharedGraft {
             id,
-            name: name.to_string(),
-            tech,
-            generation: AtomicU64::new(generation),
+            ident,
             strikes: AtomicU32::new(0),
             state: AtomicU32::new(STATE_ACTIVE),
             remaining_clean: AtomicU64::new(0),
             quarantined_by: AtomicU32::new(0),
             detach_epoch: AtomicU64::new(0),
             ledger: AtomicLedger::default(),
-            salvage_plan,
             salvage: Mutex::new(None),
             quarantines: AtomicU32::new(0),
             backoff_remaining: AtomicU64::new(0),
@@ -201,63 +181,102 @@ impl SharedGraft {
             },
             STATE_BANNED => GraftState::Banned,
             _ => GraftState::Quarantined {
-                by: TrapKind::ALL[self.quarantined_by.load(Ordering::Acquire) as usize
-                    % TrapKind::COUNT],
+                by: TrapKind::ALL
+                    [self.quarantined_by.load(Ordering::Acquire) as usize % TrapKind::COUNT],
             },
         }
     }
 
-    /// One clean invocation: walk probation back toward `Active`.
-    fn note_clean(&self) {
-        if self.state.load(Ordering::Acquire) != STATE_PROBATION {
-            return;
+    /// Re-admits a quarantined graft on probation, as a new incarnation
+    /// visible to every shard at its next dispatch.
+    fn readmit(&self, control: &Control) -> bool {
+        if self.state.load(Ordering::Acquire) != STATE_QUARANTINED {
+            return false; // active, on probation, or permanently banned
         }
-        // Decrement-if-positive, so concurrent clean invocations from
-        // several shards never wrap below zero.
-        let mut left = self.remaining_clean.load(Ordering::Acquire);
-        while left > 0 {
-            match self.remaining_clean.compare_exchange_weak(
-                left,
-                left - 1,
+        self.strikes.store(0, Ordering::Release);
+        self.backoff_remaining.store(0, Ordering::Release);
+        self.remaining_clean
+            .store(control.config.probation_clean.max(1), Ordering::Release);
+        if self
+            .state
+            .compare_exchange(
+                STATE_QUARANTINED,
+                STATE_PROBATION,
                 Ordering::AcqRel,
                 Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    if left == 1 {
-                        // Last required clean call: back to full standing.
-                        let _ = self.state.compare_exchange(
-                            STATE_PROBATION,
-                            STATE_ACTIVE,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        );
-                    }
-                    return;
-                }
-                Err(now) => left = now,
-            }
+            )
+            .is_err()
+        {
+            return false;
+        }
+        control.epoch.fetch_add(1, Ordering::AcqRel);
+        true
+    }
+}
+
+/// Decrement-if-positive, so concurrent shards never wrap a counter
+/// below zero; returns the value this call moved down from (0 = none).
+fn take_one(counter: &AtomicU64) -> u64 {
+    let mut left = counter.load(Ordering::Acquire);
+    while left > 0 {
+        match counter.compare_exchange_weak(left, left - 1, Ordering::AcqRel, Ordering::Acquire) {
+            Ok(_) => return left,
+            Err(now) => left = now,
+        }
+    }
+    0
+}
+
+/// The shards' supervisor book: every shard's replica of a graft points
+/// at the same atomics, so strikes, detach and the backoff window are
+/// counted globally and exactly one shard wins each transition.
+impl Book for Arc<SharedGraft> {
+    type Ctx = Arc<Control>;
+
+    fn config(ctx: &Arc<Control>) -> &HostConfig {
+        &ctx.config
+    }
+
+    fn ident(&self) -> &Ident {
+        &self.ident
+    }
+
+    fn state(&self) -> GraftState {
+        SharedGraft::state(self)
+    }
+
+    /// One Acquire load, not a full state decode.
+    fn dispatchable(&self) -> bool {
+        !self.is_detached()
+    }
+
+    fn note_clean(&mut self) {
+        if self.state.load(Ordering::Acquire) == STATE_PROBATION
+            && take_one(&self.remaining_clean) == 1
+        {
+            // Last required clean call: back to full standing.
+            let _ = self.state.compare_exchange(
+                STATE_PROBATION,
+                STATE_ACTIVE,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            );
         }
     }
 
-    /// Accounts one trap; returns `true` when *this* call wins the
-    /// detach (exactly one caller across all shards does).
-    fn note_trap(&self, kind: TrapKind, threshold: u32, epoch: &AtomicU64) -> bool {
-        let strikes = self.strikes.fetch_add(1, Ordering::AcqRel) + 1;
-        let instant = kind == TrapKind::FuelExhausted
-            || self.state.load(Ordering::Acquire) == STATE_PROBATION;
-        if instant || strikes >= threshold {
-            self.detach(kind, epoch)
-        } else {
-            false
-        }
+    fn add_strike(&mut self) -> u32 {
+        self.strikes.fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    /// Atomically quarantines the graft across all shards. The single
-    /// winning transition stamps a freshly bumped global epoch, so the
-    /// detach is totally ordered against install/uninstall traffic.
-    /// A CAS loop (not a bare swap) so a late trap racing a permanent
-    /// ban can never demote `Banned` back to `Quarantined`.
-    fn detach(&self, kind: TrapKind, epoch: &AtomicU64) -> bool {
+    fn strikes(&self) -> u32 {
+        self.strikes.load(Ordering::Acquire)
+    }
+
+    /// The single winning transition stamps a freshly bumped global
+    /// epoch, so the detach is totally ordered against membership
+    /// traffic. A CAS loop (not a bare swap) so a late trap racing a
+    /// permanent ban can never demote `Banned` back to `Quarantined`.
+    fn quarantine(&mut self, by: TrapKind, ctx: &Arc<Control>) -> bool {
         let mut cur = self.state.load(Ordering::Acquire);
         loop {
             if cur >= STATE_QUARANTINED {
@@ -273,58 +292,64 @@ impl SharedGraft {
                 Err(now) => cur = now,
             }
         }
-        self.quarantined_by.store(kind as u32, Ordering::Release);
-        self.detach_epoch
-            .store(epoch.fetch_add(1, Ordering::AcqRel) + 1, Ordering::Release);
+        self.quarantined_by.store(by as u32, Ordering::Release);
+        let epoch = ctx.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+        self.detach_epoch.store(epoch, Ordering::Release);
         true
+    }
+
+    fn add_trip(&mut self) -> u32 {
+        self.quarantines.fetch_add(1, Ordering::AcqRel) + 1
+    }
+
+    fn ban(&mut self) {
+        self.state.store(STATE_BANNED, Ordering::Release);
+    }
+
+    fn set_backoff(&mut self, window: u64) {
+        self.backoff_remaining.store(window, Ordering::Release);
+    }
+
+    fn backoff_remaining(&self) -> u64 {
+        self.backoff_remaining.load(Ordering::Acquire)
+    }
+
+    fn tick_backoff(&mut self) -> bool {
+        self.state.load(Ordering::Acquire) == STATE_QUARANTINED
+            && take_one(&self.backoff_remaining) == 1
+    }
+
+    fn readmit(&mut self, ctx: &Arc<Control>) -> bool {
+        SharedGraft::readmit(self, ctx)
+    }
+
+    /// Merges the winner's unflushed ledger into the shared totals first,
+    /// so the report covers every invocation this shard accounted.
+    fn settle(&mut self, local: &mut GraftLedger) -> GraftLedger {
+        self.ledger.merge(local);
+        *local = GraftLedger::default();
+        self.ledger.snapshot()
+    }
+
+    fn file(
+        &mut self,
+        _: &mut Arc<Control>,
+        salvage: Option<SalvagedState>,
+        report: PostmortemReport,
+    ) {
+        *self.salvage.lock().expect("salvage lock") = salvage;
+        self.postmortems
+            .lock()
+            .expect("postmortem lock")
+            .push(report);
     }
 }
 
 /// Membership traffic from the control plane to one shard.
 enum ShardOp {
-    Install {
-        shared: Arc<SharedGraft>,
-        engine: Box<dyn ExtensionEngine>,
-        entry: EntryId,
-        point: AttachPoint,
-        at: usize,
-    },
+    /// Link this shard's replica into `point`'s chain at `at`.
+    Install(AttachPoint, usize, Slot<Arc<SharedGraft>>),
     Uninstall(u64),
-}
-
-/// `HostStats`' dispatch-path fields as shared atomics, merged into by
-/// shard flushes.
-#[derive(Default)]
-struct AtomicStats {
-    dispatches: AtomicU64,
-    invocations: AtomicU64,
-    traps: AtomicU64,
-    overrides: AtomicU64,
-    continues: AtomicU64,
-    defaults: AtomicU64,
-    quarantine_trips: AtomicU64,
-    marshal_failures: AtomicU64,
-    salvages: AtomicU64,
-    salvaged_words: AtomicU64,
-    auto_readmits: AtomicU64,
-    bans: AtomicU64,
-}
-
-impl AtomicStats {
-    fn merge(&self, s: &HostStats) {
-        self.dispatches.fetch_add(s.dispatches, Ordering::Relaxed);
-        self.invocations.fetch_add(s.invocations, Ordering::Relaxed);
-        self.traps.fetch_add(s.traps, Ordering::Relaxed);
-        self.overrides.fetch_add(s.overrides, Ordering::Relaxed);
-        self.continues.fetch_add(s.continues, Ordering::Relaxed);
-        self.defaults.fetch_add(s.defaults, Ordering::Relaxed);
-        self.quarantine_trips.fetch_add(s.quarantine_trips, Ordering::Relaxed);
-        self.marshal_failures.fetch_add(s.marshal_failures, Ordering::Relaxed);
-        self.salvages.fetch_add(s.salvages, Ordering::Relaxed);
-        self.salvaged_words.fetch_add(s.salvaged_words, Ordering::Relaxed);
-        self.auto_readmits.fetch_add(s.auto_readmits, Ordering::Relaxed);
-        self.bans.fetch_add(s.bans, Ordering::Relaxed);
-    }
 }
 
 /// Control-plane state shared by the [`ShardedHost`] and every
@@ -339,13 +364,24 @@ struct Control {
     next_id: AtomicU64,
     registry: Mutex<BTreeMap<u64, Arc<SharedGraft>>>,
     mailboxes: Mutex<Vec<Sender<ShardOp>>>,
-    stats: AtomicStats,
+    /// Control-plane counts plus everything the shards have flushed.
+    /// Only flushes and membership changes take the lock, never a
+    /// dispatch.
+    stats: Mutex<HostStats>,
     /// Per-shard dispatch totals (merged on flush), for the
     /// shard-imbalance histogram.
     shard_dispatches: Vec<AtomicU64>,
-    installs: AtomicU64,
-    uninstalls: AtomicU64,
-    readmits: AtomicU64,
+}
+
+impl Control {
+    fn registry(&self) -> std::sync::MutexGuard<'_, BTreeMap<u64, Arc<SharedGraft>>> {
+        self.registry.lock().expect("registry lock")
+    }
+
+    /// Adds to the aggregate statistics.
+    fn count(&self, add: impl FnOnce(&mut HostStats)) {
+        add(&mut self.stats.lock().expect("stats lock"));
+    }
 }
 
 /// The sharded extension kernel: the [`GraftHost`] chains replicated
@@ -387,11 +423,8 @@ impl ShardedHost {
             next_id: AtomicU64::new(1),
             registry: Mutex::new(BTreeMap::new()),
             mailboxes: Mutex::new(senders),
-            stats: AtomicStats::default(),
+            stats: Mutex::new(HostStats::default()),
             shard_dispatches: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            installs: AtomicU64::new(0),
-            uninstalls: AtomicU64::new(0),
-            readmits: AtomicU64::new(0),
         });
         let handles = receivers
             .into_iter()
@@ -399,20 +432,11 @@ impl ShardedHost {
             .map(|(shard, rx)| {
                 Some(ShardHandle {
                     shard,
-                    control: Arc::clone(&inner),
+                    core: Core::new(Arc::clone(&inner), Some(shard as u32)),
                     rx,
                     seen_epoch: 0,
-                    grafts: BTreeMap::new(),
-                    chains: std::array::from_fn(|_| Vec::new()),
-                    stats: HostStats::default(),
-                    published: HostStats::default(),
-                    depth_counts: [0; DEPTH_SLOTS],
-                    published_depth: [0; DEPTH_SLOTS],
                     epoch_syncs: 0,
                     mailbox_ops: 0,
-                    flushes: 0,
-                    recorder: TraceBuffer::new(graft_telemetry::TRACE_BUFFER_CAPACITY),
-                    trace_seq: 0,
                 })
             })
             .collect();
@@ -457,7 +481,7 @@ impl ShardedHost {
         name: &str,
         engine: Box<dyn ExtensionEngine>,
     ) -> Result<GraftId, GraftError> {
-        self.install_at(point, name, engine, usize::MAX)
+        self.install_at(point, name, engine, usize::MAX, &[])
     }
 
     /// Installs at the *front* of every shard's chain.
@@ -467,7 +491,7 @@ impl ShardedHost {
         name: &str,
         engine: Box<dyn ExtensionEngine>,
     ) -> Result<GraftId, GraftError> {
-        self.install_at(point, name, engine, 0)
+        self.install_at(point, name, engine, 0, &[])
     }
 
     /// Installs with a salvage plan: when the supervisor detaches this
@@ -485,20 +509,10 @@ impl ShardedHost {
         for region in salvage_regions {
             engine.bind_region(region)?;
         }
-        self.install_full(point, name, engine, usize::MAX, salvage_regions)
+        self.install_at(point, name, engine, usize::MAX, salvage_regions)
     }
 
     fn install_at(
-        &self,
-        point: AttachPoint,
-        name: &str,
-        engine: Box<dyn ExtensionEngine>,
-        at: usize,
-    ) -> Result<GraftId, GraftError> {
-        self.install_full(point, name, engine, at, &[])
-    }
-
-    fn install_full(
         &self,
         point: AttachPoint,
         name: &str,
@@ -520,34 +534,23 @@ impl ShardedHost {
         engines.insert(0, engine);
 
         let id = self.inner.next_id.fetch_add(1, Ordering::AcqRel);
-        let generation = self.inner.epoch.load(Ordering::Acquire);
-        let shared = Arc::new(SharedGraft::new(
-            id,
-            name,
-            engines[0].technology(),
-            generation,
-            salvage_regions.iter().map(|s| s.to_string()).collect(),
-        ));
-        self.inner
-            .registry
-            .lock()
-            .expect("registry lock")
-            .insert(id, Arc::clone(&shared));
+        let ident = Ident {
+            name: name.to_string(),
+            tech: engines[0].technology(),
+            plan: salvage_regions.iter().map(|s| s.to_string()).collect(),
+        };
+        let shared = Arc::new(SharedGraft::new(id, ident));
+        self.inner.registry().insert(id, Arc::clone(&shared));
         {
             let mailboxes = self.inner.mailboxes.lock().expect("mailbox lock");
             for (tx, replica) in mailboxes.iter().zip(engines) {
                 // A send only fails when the shard handle is gone; the
                 // remaining shards still serve.
-                let _ = tx.send(ShardOp::Install {
-                    shared: Arc::clone(&shared),
-                    engine: replica,
-                    entry,
-                    point,
-                    at,
-                });
+                let slot = Slot::new(replica, entry, Arc::clone(&shared));
+                let _ = tx.send(ShardOp::Install(point, at, slot));
             }
         }
-        self.inner.installs.fetch_add(1, Ordering::Relaxed);
+        self.inner.count(|s| s.installs += 1);
         self.inner.epoch.fetch_add(1, Ordering::AcqRel);
         Ok(GraftId(id))
     }
@@ -556,14 +559,7 @@ impl ShardedHost {
     /// unknown id. Shards drop their replicas (merging any unflushed
     /// ledger counts) at their next dispatch.
     pub fn uninstall(&self, id: GraftId) -> bool {
-        if self
-            .inner
-            .registry
-            .lock()
-            .expect("registry lock")
-            .remove(&id.0)
-            .is_none()
-        {
+        if self.inner.registry().remove(&id.0).is_none() {
             return false;
         }
         {
@@ -572,7 +568,7 @@ impl ShardedHost {
                 let _ = tx.send(ShardOp::Uninstall(id.0));
             }
         }
-        self.inner.uninstalls.fetch_add(1, Ordering::Relaxed);
+        self.inner.count(|s| s.uninstalls += 1);
         self.inner.epoch.fetch_add(1, Ordering::AcqRel);
         true
     }
@@ -581,47 +577,27 @@ impl ShardedHost {
     /// once (shards read the shared supervisor state inline, so the
     /// re-admission is visible at every shard's very next dispatch).
     pub fn readmit(&self, id: GraftId) -> bool {
-        let registry = self.inner.registry.lock().expect("registry lock");
-        let Some(g) = registry.get(&id.0) else {
-            return false;
-        };
-        if g.state.load(Ordering::Acquire) != STATE_QUARANTINED {
-            return false; // active, on probation, or permanently banned
+        let readmitted = self.graft(id, |g| g.readmit(&self.inner)) == Some(true);
+        if readmitted {
+            self.inner.count(|s| s.readmits += 1);
         }
-        g.strikes.store(0, Ordering::Release);
-        g.backoff_remaining.store(0, Ordering::Release);
-        g.remaining_clean
-            .store(self.inner.config.probation_clean.max(1), Ordering::Release);
-        // New incarnation: a detach observed after this point must have
-        // been won against the probation state, not the old one.
-        g.generation
-            .store(self.inner.epoch.load(Ordering::Acquire), Ordering::Release);
-        g.state.store(STATE_PROBATION, Ordering::Release);
-        drop(registry);
-        self.inner.readmits.fetch_add(1, Ordering::Relaxed);
-        self.inner.epoch.fetch_add(1, Ordering::AcqRel);
-        true
+        readmitted
+    }
+
+    /// Reads one graft's shared record under the registry lock.
+    fn graft<R>(&self, id: GraftId, read: impl FnOnce(&SharedGraft) -> R) -> Option<R> {
+        self.inner.registry().get(&id.0).map(|g| read(g))
     }
 
     /// Merged cross-shard ledger of one graft. Complete once shards
     /// have flushed (a [`ShardHandle`] flushes explicitly or on drop).
     pub fn ledger(&self, id: GraftId) -> Option<GraftLedger> {
-        self.inner
-            .registry
-            .lock()
-            .expect("registry lock")
-            .get(&id.0)
-            .map(|g| g.ledger.snapshot())
+        self.graft(id, |g| g.ledger.snapshot())
     }
 
     /// The lifecycle state of one graft.
     pub fn state(&self, id: GraftId) -> Option<GraftState> {
-        self.inner
-            .registry
-            .lock()
-            .expect("registry lock")
-            .get(&id.0)
-            .map(|g| g.state())
+        self.graft(id, SharedGraft::state)
     }
 
     /// Whether the supervisor has detached this graft (on all shards —
@@ -634,34 +610,20 @@ impl ShardedHost {
     /// out of its replica (e.g. to re-seed a replacement graft or the
     /// built-in policy).
     pub fn take_salvage(&self, id: GraftId) -> Option<SalvagedState> {
-        self.inner
-            .registry
-            .lock()
-            .expect("registry lock")
-            .get(&id.0)
-            .and_then(|g| g.salvage.lock().expect("salvage lock").take())
+        self.graft(id, |g| g.salvage.lock().expect("salvage lock").take())
+            .flatten()
     }
 
     /// Lifetime quarantine trips for one graft (the backoff rung).
     pub fn quarantine_count(&self, id: GraftId) -> Option<u32> {
-        self.inner
-            .registry
-            .lock()
-            .expect("registry lock")
-            .get(&id.0)
-            .map(|g| g.quarantines.load(Ordering::Acquire))
+        self.graft(id, |g| g.quarantines.load(Ordering::Acquire))
     }
 
     /// The epoch stamped by the supervisor when it detached this graft
     /// (0 if never detached). Strictly greater than the graft's install
     /// generation, and totally ordered against membership changes.
     pub fn detach_epoch(&self, id: GraftId) -> Option<u64> {
-        self.inner
-            .registry
-            .lock()
-            .expect("registry lock")
-            .get(&id.0)
-            .map(|g| g.detach_epoch.load(Ordering::Acquire))
+        self.graft(id, |g| g.detach_epoch.load(Ordering::Acquire))
     }
 
     /// The current membership epoch.
@@ -674,9 +636,8 @@ impl ShardedHost {
     /// covers the winning shard's recorder; re-attach a merged timeline
     /// with [`PostmortemReport::adopt_tail`] for the cross-shard view.
     pub fn take_postmortems(&self) -> Vec<PostmortemReport> {
-        let registry = self.inner.registry.lock().expect("registry lock");
         let mut out = Vec::new();
-        for g in registry.values() {
+        for g in self.inner.registry().values() {
             out.append(&mut g.postmortems.lock().expect("postmortem lock"));
         }
         out
@@ -684,45 +645,18 @@ impl ShardedHost {
 
     /// The technology a graft was installed under.
     pub fn technology(&self, id: GraftId) -> Option<Technology> {
-        self.inner
-            .registry
-            .lock()
-            .expect("registry lock")
-            .get(&id.0)
-            .map(|g| g.tech)
+        self.graft(id, |g| g.ident.tech)
     }
 
     /// The name a graft was installed under.
     pub fn name(&self, id: GraftId) -> Option<String> {
-        self.inner
-            .registry
-            .lock()
-            .expect("registry lock")
-            .get(&id.0)
-            .map(|g| g.name.clone())
+        self.graft(id, |g| g.ident.name.clone())
     }
 
     /// Aggregate statistics: control-plane counts plus everything the
     /// shards have flushed so far.
     pub fn stats(&self) -> HostStats {
-        let s = &self.inner.stats;
-        HostStats {
-            dispatches: s.dispatches.load(Ordering::Relaxed),
-            invocations: s.invocations.load(Ordering::Relaxed),
-            traps: s.traps.load(Ordering::Relaxed),
-            overrides: s.overrides.load(Ordering::Relaxed),
-            continues: s.continues.load(Ordering::Relaxed),
-            defaults: s.defaults.load(Ordering::Relaxed),
-            quarantine_trips: s.quarantine_trips.load(Ordering::Relaxed),
-            installs: self.inner.installs.load(Ordering::Relaxed),
-            uninstalls: self.inner.uninstalls.load(Ordering::Relaxed),
-            readmits: self.inner.readmits.load(Ordering::Relaxed),
-            marshal_failures: s.marshal_failures.load(Ordering::Relaxed),
-            salvages: s.salvages.load(Ordering::Relaxed),
-            salvaged_words: s.salvaged_words.load(Ordering::Relaxed),
-            auto_readmits: s.auto_readmits.load(Ordering::Relaxed),
-            bans: s.bans.load(Ordering::Relaxed),
-        }
+        *self.inner.stats.lock().expect("stats lock")
     }
 
     /// Per-shard dispatch totals flushed so far, in shard order.
@@ -772,24 +706,16 @@ impl ShardedHost {
             return;
         }
         self.published = true;
+        let s = self.stats();
         graft_telemetry::counter!("kernel.shard.count").add(self.inner.shards as u64);
-        graft_telemetry::counter!("kernel.shard.installs")
-            .add(self.inner.installs.load(Ordering::Relaxed));
-        graft_telemetry::counter!("kernel.shard.uninstalls")
-            .add(self.inner.uninstalls.load(Ordering::Relaxed));
-        graft_telemetry::counter!("kernel.shard.readmits")
-            .add(self.inner.readmits.load(Ordering::Relaxed));
-        graft_telemetry::counter!("kernel.shard.epoch")
-            .add(self.inner.epoch.load(Ordering::Acquire));
-        let s = &self.inner.stats;
-        graft_telemetry::counter!("kernel.recovery.salvages")
-            .add(s.salvages.load(Ordering::Relaxed));
-        graft_telemetry::counter!("kernel.recovery.salvaged_words")
-            .add(s.salvaged_words.load(Ordering::Relaxed));
-        graft_telemetry::counter!("kernel.recovery.auto_readmits")
-            .add(s.auto_readmits.load(Ordering::Relaxed));
-        graft_telemetry::counter!("kernel.recovery.bans")
-            .add(s.bans.load(Ordering::Relaxed));
+        graft_telemetry::counter!("kernel.shard.installs").add(s.installs);
+        graft_telemetry::counter!("kernel.shard.uninstalls").add(s.uninstalls);
+        graft_telemetry::counter!("kernel.shard.readmits").add(s.readmits);
+        graft_telemetry::counter!("kernel.shard.epoch").add(self.epoch());
+        graft_telemetry::counter!("kernel.recovery.salvages").add(s.salvages);
+        graft_telemetry::counter!("kernel.recovery.salvaged_words").add(s.salvaged_words);
+        graft_telemetry::counter!("kernel.recovery.auto_readmits").add(s.auto_readmits);
+        graft_telemetry::counter!("kernel.recovery.bans").add(s.bans);
         let loads = self.shard_loads();
         let total: u64 = loads.iter().sum();
         if total > 0 && loads.len() > 1 {
@@ -825,165 +751,16 @@ impl Drop for ShardedHost {
 /// when membership changed.
 pub struct ShardHandle {
     shard: usize,
-    control: Arc<Control>,
+    /// Chains over this shard's replicas. The meter's context is the
+    /// control plane; its flight recorder is thread-confined like the
+    /// engines, merged across shards by
+    /// [`VirtualShards::merged_timeline`] (or by collecting
+    /// [`ShardHandle::trace_events`] from worker threads).
+    core: Core<Arc<SharedGraft>>,
     rx: Receiver<ShardOp>,
     seen_epoch: u64,
-    grafts: BTreeMap<u64, ShardGraft>,
-    chains: [Vec<u64>; AttachPoint::COUNT],
-    stats: HostStats,
-    published: HostStats,
-    depth_counts: [u64; DEPTH_SLOTS],
-    published_depth: [u64; DEPTH_SLOTS],
     epoch_syncs: u64,
     mailbox_ops: u64,
-    flushes: u64,
-    /// This shard's flight recorder: thread-confined like the engines,
-    /// merged across shards by [`VirtualShards::merged_timeline`] (or by
-    /// collecting [`ShardHandle::trace_events`] from worker threads).
-    recorder: TraceBuffer,
-    /// Dispatches traced by this shard — the per-source sequence
-    /// [`TraceId::mint`] consumes (the shard index is the source, so
-    /// ids are globally unique without a shared atomic).
-    trace_seq: u64,
-}
-
-struct ShardGraft {
-    shared: Arc<SharedGraft>,
-    engine: Box<dyn ExtensionEngine>,
-    entry: EntryId,
-    /// Private per-shard accounting, merged on flush.
-    local: GraftLedger,
-}
-
-/// Post-detach bookkeeping on the shard that *won* the detach CAS
-/// (exactly one across all shards): salvage the planned regions out of
-/// this shard's replica, then arm the backoff ladder or ban at the
-/// ceiling. Cold path — the locks here are never touched by a
-/// dispatch that doesn't detach.
-fn win_detach(
-    config: &HostConfig,
-    stats: &mut HostStats,
-    g: &mut ShardGraft,
-    reason: TrapKind,
-    recorder: &TraceBuffer,
-    shard: u32,
-) {
-    stats.quarantine_trips += 1;
-    let trips = g.shared.quarantines.fetch_add(1, Ordering::AcqRel) + 1;
-    let mut salvaged_words = None;
-    if !g.shared.salvage_plan.is_empty() {
-        if let Some(s) = recovery::salvage(
-            &g.shared.name,
-            g.shared.tech,
-            g.engine.as_ref(),
-            &g.shared.salvage_plan,
-        ) {
-            stats.salvages += 1;
-            stats.salvaged_words += s.words() as u64;
-            salvaged_words = Some(s.words());
-            *g.shared.salvage.lock().expect("salvage lock") = Some(s);
-        }
-    }
-    if config.backoff_base > 0 {
-        if trips >= config.ban_ceiling.max(1) {
-            g.shared.state.store(STATE_BANNED, Ordering::Release);
-            stats.bans += 1;
-        } else {
-            g.shared.backoff_remaining.store(
-                config
-                    .backoff_base
-                    .saturating_mul(1u64 << u64::from(trips - 1).min(62)),
-                Ordering::Release,
-            );
-        }
-    }
-    // Postmortem: merge the winner's unflushed ledger into the shared
-    // totals first so the report's ledger covers every invocation this
-    // shard accounted, then snapshot supervisor state. The event tail
-    // only sees the winner's recorder; traps that landed on other
-    // shards are re-attached later via `PostmortemReport::adopt_tail`
-    // over a merged timeline.
-    g.shared.ledger.merge(&g.local);
-    g.local = GraftLedger::default();
-    let id = g.shared.id;
-    let mut events: Vec<TraceEvent> = recorder
-        .events()
-        .into_iter()
-        .filter(|e| e.graft == id)
-        .collect();
-    if events.len() > POSTMORTEM_TAIL {
-        events.drain(..events.len() - POSTMORTEM_TAIL);
-    }
-    let report = PostmortemReport {
-        graft: g.shared.name.clone(),
-        graft_id: id,
-        tech: g.shared.tech,
-        reason,
-        state: g.shared.state(),
-        ledger: g.shared.ledger.snapshot(),
-        strikes: g.shared.strikes.load(Ordering::Acquire),
-        quarantines: trips,
-        backoff_remaining: g.shared.backoff_remaining.load(Ordering::Acquire),
-        salvaged_words,
-        events,
-        detached_at_ns: graft_telemetry::now_ns(),
-        shard: Some(shard),
-    };
-    g.shared
-        .postmortems
-        .lock()
-        .expect("postmortem lock")
-        .push(report);
-}
-
-/// One dispatch served while `shared` sat quarantined: CAS-decrement
-/// its backoff window; the shard that moves 1 → 0 wins the atomic
-/// re-admission (mirroring [`ShardedHost::readmit`], but initiated by
-/// the ladder). Composes with any number of shards: the window counts
-/// dispatches *globally*, and exactly one shard re-admits.
-fn note_backoff_dispatch(control: &Control, stats: &mut HostStats, shared: &SharedGraft) {
-    if control.config.backoff_base == 0
-        || shared.state.load(Ordering::Acquire) != STATE_QUARANTINED
-    {
-        return;
-    }
-    let mut left = shared.backoff_remaining.load(Ordering::Acquire);
-    while left > 0 {
-        match shared.backoff_remaining.compare_exchange_weak(
-            left,
-            left - 1,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => {
-                if left == 1 {
-                    shared.strikes.store(0, Ordering::Release);
-                    shared
-                        .remaining_clean
-                        .store(control.config.probation_clean.max(1), Ordering::Release);
-                    shared
-                        .generation
-                        .store(control.epoch.load(Ordering::Acquire), Ordering::Release);
-                    if shared
-                        .state
-                        .compare_exchange(
-                            STATE_QUARANTINED,
-                            STATE_PROBATION,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        stats.auto_readmits += 1;
-                        control.readmits.fetch_add(1, Ordering::Relaxed);
-                        control.epoch.fetch_add(1, Ordering::AcqRel);
-                    }
-                }
-                return;
-            }
-            Err(now) => left = now,
-        }
-    }
 }
 
 impl ShardHandle {
@@ -995,7 +772,7 @@ impl ShardHandle {
     /// Catches up with membership: one epoch load when nothing
     /// changed; otherwise drain the mailbox.
     fn sync(&mut self) {
-        let epoch = self.control.epoch.load(Ordering::Acquire);
+        let epoch = self.core.meter.ctx.epoch.load(Ordering::Acquire);
         if epoch == self.seen_epoch {
             return;
         }
@@ -1004,34 +781,13 @@ impl ShardHandle {
         while let Ok(op) = self.rx.try_recv() {
             self.mailbox_ops += 1;
             match op {
-                ShardOp::Install {
-                    shared,
-                    engine,
-                    entry,
-                    point,
-                    at,
-                } => {
-                    let id = shared.id;
-                    self.grafts.insert(
-                        id,
-                        ShardGraft {
-                            shared,
-                            engine,
-                            entry,
-                            local: GraftLedger::default(),
-                        },
-                    );
-                    let chain = &mut self.chains[point as usize];
-                    let at = at.min(chain.len());
-                    chain.insert(at, id);
+                ShardOp::Install(point, at, slot) => {
+                    self.core.link(point, slot.book.id, at, slot);
                 }
                 ShardOp::Uninstall(id) => {
-                    if let Some(g) = self.grafts.remove(&id) {
+                    if let Some(g) = self.core.unlink(id) {
                         // Merge before dropping so no counts are lost.
-                        g.shared.ledger.merge(&g.local);
-                        for chain in &mut self.chains {
-                            chain.retain(|&x| x != id);
-                        }
+                        g.book.ledger.merge(&g.ledger);
                     }
                 }
             }
@@ -1041,183 +797,45 @@ impl ShardHandle {
     /// The chain this shard would dispatch at `point`, in order.
     pub fn chain(&mut self, point: AttachPoint) -> Vec<GraftId> {
         self.sync();
-        self.chains[point as usize].iter().map(|&id| GraftId(id)).collect()
+        self.core.chain(point)
     }
 
     /// Grafts at `point` this shard's dispatch would actually consult.
     pub fn active_len(&mut self, point: AttachPoint) -> usize {
         self.sync();
-        self.chains[point as usize]
-            .iter()
-            .filter(|id| !self.grafts[id].shared.is_detached())
-            .count()
+        self.core.active_len(point)
     }
 
     /// This shard's replica engine for a graft (e.g. to marshal
     /// shard-local state after install).
     pub fn engine_mut(&mut self, id: GraftId) -> Option<&mut (dyn ExtensionEngine + '_)> {
         self.sync();
-        self.grafts.get_mut(&id.0).map(|g| g.engine.as_mut() as _)
+        self.core
+            .grafts
+            .get_mut(&id.0)
+            .map(|g| g.engine.as_mut() as _)
     }
 
     /// This shard's private (unflushed) ledger for a graft.
     pub fn local_ledger(&self, id: GraftId) -> Option<&GraftLedger> {
-        self.grafts.get(&id.0).map(|g| &g.local)
+        self.core.grafts.get(&id.0).map(|g| &g.ledger)
     }
 
     /// This shard's dispatch-path statistics (unflushed view).
     pub fn stats(&self) -> HostStats {
-        self.stats
+        self.core.meter.stats
     }
 
     /// Walks `point`'s chain on this shard — the same verdict, ledger,
     /// and supervisor semantics as [`GraftHost::dispatch`], with the
     /// quarantine gate read from the *shared* supervisor state so a
     /// detach by any shard suppresses invocation here immediately.
-    pub fn dispatch<F>(&mut self, point: AttachPoint, mut marshal: F) -> Verdict
+    pub fn dispatch<F>(&mut self, point: AttachPoint, marshal: F) -> Verdict
     where
         F: FnMut(&mut dyn ExtensionEngine) -> Result<Vec<i64>, GraftError>,
     {
         self.sync();
-        let p = point as usize;
-        self.stats.dispatches += 1;
-        let depth = self.chains[p]
-            .iter()
-            .filter(|id| !self.grafts[id].shared.is_detached())
-            .count();
-        self.depth_counts[depth.min(DEPTH_SLOTS - 1)] += 1;
-        // One causal id per dispatch; the shard index is the mint
-        // source, so ids stay globally unique without a shared atomic.
-        let tracing = graft_telemetry::tracing();
-        let trace = if tracing {
-            self.trace_seq += 1;
-            TraceId::mint(self.shard as u16, self.trace_seq)
-        } else {
-            TraceId::NONE
-        };
-        let mut chain_seq: u32 = 0;
-        for i in 0..self.chains[p].len() {
-            let id = self.chains[p][i];
-            let Some(g) = self.grafts.get_mut(&id) else {
-                continue;
-            };
-            // The cross-shard quarantine gate: one Acquire load.
-            if g.shared.is_detached() {
-                // Backoff re-admission: each dispatch served without
-                // this graft — on any shard — counts toward its clean
-                // built-in window.
-                note_backoff_dispatch(&self.control, &mut self.stats, &g.shared);
-                continue;
-            }
-            let started = Instant::now();
-            let args = match marshal(g.engine.as_mut()) {
-                Ok(args) => args,
-                Err(_) => {
-                    self.stats.marshal_failures += 1;
-                    if tracing {
-                        self.recorder.record(TraceEvent {
-                            ts_ns: graft_telemetry::since_epoch_ns(started),
-                            trace,
-                            seq: chain_seq,
-                            graft: id,
-                            shard: self.shard as u32,
-                            point: p as u8,
-                            tech: g.shared.tech as u8,
-                            verdict: graft_telemetry::TRACE_VERDICT_MARSHAL_FAIL,
-                            value: 0,
-                            duration_ns: started.elapsed().as_nanos().min(u64::MAX as u128)
-                                as u64,
-                            fuel: 0,
-                        });
-                    }
-                    chain_seq += 1;
-                    continue;
-                }
-            };
-            let result = if tracing {
-                g.engine.invoke_id_traced(g.entry, &args, trace)
-            } else {
-                g.engine.invoke_id(g.entry, &args)
-            };
-            let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            let fuel = g.engine.fuel_used();
-            match result {
-                Ok(ret) => {
-                    g.local.record_ok(ns, fuel);
-                    g.shared.note_clean();
-                    self.stats.invocations += 1;
-                    let verdict = point.decode(ret);
-                    if tracing {
-                        let (code, value) = match verdict {
-                            Verdict::Override(v) => (graft_telemetry::TRACE_VERDICT_OVERRIDE, v),
-                            Verdict::Continue => (graft_telemetry::TRACE_VERDICT_CONTINUE, 0),
-                        };
-                        self.recorder.record(TraceEvent {
-                            ts_ns: graft_telemetry::since_epoch_ns(started),
-                            trace,
-                            seq: chain_seq,
-                            graft: id,
-                            shard: self.shard as u32,
-                            point: p as u8,
-                            tech: g.shared.tech as u8,
-                            verdict: code,
-                            value,
-                            duration_ns: ns,
-                            fuel: fuel.unwrap_or(0),
-                        });
-                    }
-                    match verdict {
-                        v @ Verdict::Override(_) => {
-                            self.stats.overrides += 1;
-                            return v;
-                        }
-                        Verdict::Continue => self.stats.continues += 1,
-                    }
-                }
-                Err(GraftError::Trap(trap)) => {
-                    g.local.record_trap(ns, fuel, &trap);
-                    self.stats.invocations += 1;
-                    self.stats.traps += 1;
-                    if tracing {
-                        self.recorder.record(TraceEvent {
-                            ts_ns: graft_telemetry::since_epoch_ns(started),
-                            trace,
-                            seq: chain_seq,
-                            graft: id,
-                            shard: self.shard as u32,
-                            point: p as u8,
-                            tech: g.shared.tech as u8,
-                            verdict: graft_telemetry::TRACE_VERDICT_TRAP,
-                            value: trap.kind() as usize as i64,
-                            duration_ns: ns,
-                            fuel: fuel.unwrap_or(0),
-                        });
-                    }
-                    if g.shared.note_trap(
-                        trap.kind(),
-                        self.control.config.trap_threshold,
-                        &self.control.epoch,
-                    ) {
-                        // The winning detach bumped the epoch; our next
-                        // sync is a (cheap, empty) mailbox drain.
-                        win_detach(
-                            &self.control.config,
-                            &mut self.stats,
-                            g,
-                            trap.kind(),
-                            &self.recorder,
-                            self.shard as u32,
-                        );
-                    }
-                }
-                Err(_) => {
-                    self.stats.marshal_failures += 1;
-                }
-            }
-            chain_seq += 1;
-        }
-        self.stats.defaults += 1;
-        Verdict::Continue
+        self.core.dispatch(point, marshal)
     }
 
     /// Dispatches `calls` chain walks at `point` as one batch — the
@@ -1257,103 +875,72 @@ impl ShardHandle {
         F: FnMut(usize, &mut dyn ExtensionEngine) -> Result<Vec<i64>, GraftError>,
     {
         self.sync();
-        let p = point as usize;
-        let fusable = calls > 1
-            && !graft_telemetry::tracing()
-            && self.chains[p].len() == 1
-            && {
-                let id = self.chains[p][0];
-                self.grafts
-                    .get(&id)
-                    .is_some_and(|g| !g.shared.is_detached() && !g.engine.fuel_metered())
-            };
-        if !fusable {
-            return (0..calls)
-                .map(|i| self.dispatch(point, |e| marshal(i, e)))
-                .collect();
-        }
-        let id = self.chains[p][0];
+        let Core {
+            grafts,
+            chains,
+            meter,
+        } = &mut self.core;
+        let lone = match chains[point as usize][..] {
+            [id] if calls > 1 && !graft_telemetry::tracing() => {
+                grafts.get_mut(&id).map(|g| (id, g))
+            }
+            _ => None,
+        };
         // Marshal every call up front (the dispatch_batch purity
         // contract allows it); a failure or ragged arity degrades to
         // the per-call path, re-marshalling from scratch.
         let mut args_flat: Vec<i64> = Vec::new();
-        let mut arity: Option<usize> = None;
-        {
-            let g = self.grafts.get_mut(&id).expect("chain member");
+        let fused = lone.and_then(|(id, g)| {
+            if !g.book.dispatchable() || g.engine.fuel_metered() {
+                return None;
+            }
+            let mut arity = None;
             for i in 0..calls {
                 match marshal(i, g.engine.as_mut()) {
                     Ok(args) if *arity.get_or_insert(args.len()) == args.len() => {
                         args_flat.extend_from_slice(&args);
                     }
-                    _ => {
-                        arity = None;
-                        break;
-                    }
+                    _ => return None,
                 }
             }
-        }
-        if arity.is_none() {
+            Some((id, g))
+        });
+        let Some((id, g)) = fused else {
             return (0..calls)
                 .map(|i| self.dispatch(point, |e| marshal(i, e)))
                 .collect();
-        }
-        let started = Instant::now();
+        };
+        let mut call = Call::new(Some(point), TraceId::NONE, 0);
         let mut out = Vec::with_capacity(calls);
-        let g = self.grafts.get_mut(&id).expect("chain member");
         let result = g.engine.invoke_batch(g.entry, calls, &args_flat, &mut out);
-        let total_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         // Wall-clock attribution per call (an even share; `cum_ns` is
-        // the one machine-dependent ledger field).
-        let share_ns = total_ns / calls as u64;
+        // the one machine-dependent ledger field). No fuel: fused
+        // batches only run unmetered engines.
+        call.ns = ns_since(call.started) / calls as u64;
         let mut verdicts = Vec::with_capacity(calls);
         // The completed prefix: each result is one full dispatch.
         for &ret in &out {
-            self.stats.dispatches += 1;
-            self.depth_counts[1.min(DEPTH_SLOTS - 1)] += 1;
-            g.local.record_ok(share_ns, None);
-            g.shared.note_clean();
-            self.stats.invocations += 1;
-            match point.decode(ret) {
-                v @ Verdict::Override(_) => {
-                    self.stats.overrides += 1;
-                    verdicts.push(v);
-                }
+            meter.stats.dispatches += 1;
+            meter.depth_counts[1] += 1;
+            meter.charge(id, g, &call, &Ok(ret));
+            let v = point.decode(ret);
+            match v {
+                Verdict::Override(_) => meter.stats.overrides += 1,
                 Verdict::Continue => {
-                    self.stats.continues += 1;
-                    self.stats.defaults += 1;
-                    verdicts.push(Verdict::Continue);
+                    meter.stats.continues += 1;
+                    meter.stats.defaults += 1;
                 }
             }
+            verdicts.push(v);
         }
         if let Err(err) = result {
             // The faulting call, charged exactly once; then the batch
             // degrades to per-call dispatch for the remainder, which
             // observes any detach the trap just caused.
-            self.stats.dispatches += 1;
-            self.depth_counts[1.min(DEPTH_SLOTS - 1)] += 1;
-            match err {
-                GraftError::Trap(trap) => {
-                    g.local.record_trap(share_ns, None, &trap);
-                    self.stats.invocations += 1;
-                    self.stats.traps += 1;
-                    if g.shared.note_trap(
-                        trap.kind(),
-                        self.control.config.trap_threshold,
-                        &self.control.epoch,
-                    ) {
-                        win_detach(
-                            &self.control.config,
-                            &mut self.stats,
-                            g,
-                            trap.kind(),
-                            &self.recorder,
-                            self.shard as u32,
-                        );
-                    }
-                }
-                _ => self.stats.marshal_failures += 1,
-            }
-            self.stats.defaults += 1;
+            meter.stats.dispatches += 1;
+            meter.depth_counts[1] += 1;
+            meter.charge(id, g, &call, &Err(err));
+            meter.stats.defaults += 1;
             verdicts.push(Verdict::Continue);
             for i in verdicts.len()..calls {
                 let v = self.dispatch(point, |e| marshal(i, e));
@@ -1403,8 +990,9 @@ impl ShardHandle {
         for w in &batch {
             queues.mark_warm(self.shard, w.graft);
         }
-        let verdicts =
-            self.dispatch_batch(point, batch.len(), |i, _engine| Ok(to_args(&batch[i].payload)));
+        let verdicts = self.dispatch_batch(point, batch.len(), |i, _engine| {
+            Ok(to_args(&batch[i].payload))
+        });
         for (w, v) in batch.iter().zip(verdicts) {
             on_result(w, v);
         }
@@ -1432,90 +1020,7 @@ impl ShardHandle {
     /// shard, not just the one that observed the traps.
     pub fn invoke(&mut self, id: GraftId, args: &[i64]) -> Result<i64, GraftError> {
         self.sync();
-        let Some(g) = self.grafts.get_mut(&id.0) else {
-            return Err(GraftError::Unavailable {
-                graft: format!("graft#{}", id.0),
-                missing: "installation (no such graft)".into(),
-            });
-        };
-        if g.shared.is_detached() {
-            let missing = if g.shared.state.load(Ordering::Acquire) == STATE_BANNED {
-                "permanently banned at the backoff ceiling"
-            } else {
-                "detached by quarantine supervisor"
-            };
-            return Err(GraftError::Unavailable {
-                graft: g.shared.name.clone(),
-                missing: missing.into(),
-            });
-        }
-        let tracing = graft_telemetry::tracing();
-        let trace = if tracing {
-            self.trace_seq += 1;
-            TraceId::mint(self.shard as u16, self.trace_seq)
-        } else {
-            TraceId::NONE
-        };
-        let started = Instant::now();
-        let result = if tracing {
-            g.engine.invoke_id_traced(g.entry, args, trace)
-        } else {
-            g.engine.invoke_id(g.entry, args)
-        };
-        let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let fuel = g.engine.fuel_used();
-        self.stats.invocations += 1;
-        if tracing {
-            // Direct invocations have no attach point (`u8::MAX`); an
-            // `Ok` records the return value under the override verdict.
-            let (verdict, value) = match &result {
-                Ok(ret) => (graft_telemetry::TRACE_VERDICT_OVERRIDE, *ret),
-                Err(GraftError::Trap(trap)) => (
-                    graft_telemetry::TRACE_VERDICT_TRAP,
-                    trap.kind() as usize as i64,
-                ),
-                Err(_) => (graft_telemetry::TRACE_VERDICT_MARSHAL_FAIL, 0),
-            };
-            self.recorder.record(TraceEvent {
-                ts_ns: graft_telemetry::since_epoch_ns(started),
-                trace,
-                seq: 0,
-                graft: id.0,
-                shard: self.shard as u32,
-                point: u8::MAX,
-                tech: g.shared.tech as u8,
-                verdict,
-                value,
-                duration_ns: ns,
-                fuel: fuel.unwrap_or(0),
-            });
-        }
-        match &result {
-            Ok(_) => {
-                g.local.record_ok(ns, fuel);
-                g.shared.note_clean();
-            }
-            Err(GraftError::Trap(trap)) => {
-                g.local.record_trap(ns, fuel, trap);
-                self.stats.traps += 1;
-                if g.shared.note_trap(
-                    trap.kind(),
-                    self.control.config.trap_threshold,
-                    &self.control.epoch,
-                ) {
-                    win_detach(
-                        &self.control.config,
-                        &mut self.stats,
-                        g,
-                        trap.kind(),
-                        &self.recorder,
-                        self.shard as u32,
-                    );
-                }
-            }
-            Err(_) => self.stats.marshal_failures += 1,
-        }
-        result
+        self.core.invoke(id.0, args)
     }
 
     /// Merges this shard's private ledgers and statistics into the
@@ -1524,20 +1029,20 @@ impl ShardHandle {
     /// count merges exactly once, and `Drop` flushes whatever remains,
     /// including when the worker thread unwinds out of a panic.
     pub fn flush(&mut self) {
-        self.flushes += 1;
+        let Core { grafts, meter, .. } = &mut self.core;
         // Publishes only events not yet flushed, and accounts every
         // overwritten-unpublished event to `telemetry.trace.dropped`.
-        self.recorder.flush();
-        for g in self.grafts.values_mut() {
-            g.shared.ledger.merge(&g.local);
-            g.local = GraftLedger::default();
+        meter.recorder.flush();
+        for g in grafts.values_mut() {
+            g.book.ledger.merge(&g.ledger);
+            g.ledger = GraftLedger::default();
         }
-        let delta = self.stats.delta_since(&self.published);
-        self.published = self.stats;
-        self.control.stats.merge(&delta);
-        self.control.shard_dispatches[self.shard].fetch_add(delta.dispatches, Ordering::Relaxed);
+        let delta = meter.take_delta();
+        meter.publish_depth();
+        let control = &meter.ctx;
+        control.count(|s| s.merge(&delta));
+        control.shard_dispatches[self.shard].fetch_add(delta.dispatches, Ordering::Relaxed);
         if !graft_telemetry::enabled() {
-            self.published_depth = self.depth_counts;
             return;
         }
         graft_telemetry::counter!("kernel.shard.dispatches").add(delta.dispatches);
@@ -1550,22 +1055,12 @@ impl ShardHandle {
         graft_telemetry::counter!("kernel.shard.flushes").incr();
         self.epoch_syncs = 0;
         self.mailbox_ops = 0;
-        let depth = graft_telemetry::histogram!("kernel.chain_depth");
-        for (d, (&n, &p)) in self
-            .depth_counts
-            .iter()
-            .zip(self.published_depth.iter())
-            .enumerate()
-        {
-            depth.record_n(d as u64, n.saturating_sub(p));
-        }
-        self.published_depth = self.depth_counts;
     }
 
     /// Every trace event still retained by this shard's flight
     /// recorder, oldest first (empty unless recording was armed).
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.recorder.events()
+        self.core.meter.recorder.events()
     }
 }
 
@@ -1575,7 +1070,7 @@ impl Drop for ShardHandle {
         if graft_telemetry::enabled() {
             // Lifetime per-shard load, one histogram entry per shard:
             // the distribution graftstat summarizes as shard balance.
-            graft_telemetry::histogram!("kernel.shard.load").record(self.stats.dispatches);
+            graft_telemetry::histogram!("kernel.shard.load").record(self.stats().dispatches);
         }
     }
 }
@@ -1772,21 +1267,13 @@ pub type BatchMarshalFn<'a> =
     dyn FnMut(usize, &mut dyn ExtensionEngine) -> Result<Vec<i64>, GraftError> + 'a;
 
 impl ChainDispatch for GraftHost {
-    fn dispatch_chain(
-        &mut self,
-        point: AttachPoint,
-        marshal: &mut MarshalFn<'_>,
-    ) -> Verdict {
+    fn dispatch_chain(&mut self, point: AttachPoint, marshal: &mut MarshalFn<'_>) -> Verdict {
         self.dispatch(point, marshal)
     }
 }
 
 impl ChainDispatch for ShardHandle {
-    fn dispatch_chain(
-        &mut self,
-        point: AttachPoint,
-        marshal: &mut MarshalFn<'_>,
-    ) -> Verdict {
+    fn dispatch_chain(&mut self, point: AttachPoint, marshal: &mut MarshalFn<'_>) -> Verdict {
         self.dispatch(point, marshal)
     }
 
@@ -1807,11 +1294,7 @@ impl ChainDispatch for ShardHandle {
 /// `Rc<RefCell<ShardHandle>>`) dispatch through a runtime borrow, so
 /// several substrate adapters can take turns on one host.
 impl<T: ChainDispatch> ChainDispatch for std::rc::Rc<std::cell::RefCell<T>> {
-    fn dispatch_chain(
-        &mut self,
-        point: AttachPoint,
-        marshal: &mut MarshalFn<'_>,
-    ) -> Verdict {
+    fn dispatch_chain(&mut self, point: AttachPoint, marshal: &mut MarshalFn<'_>) -> Verdict {
         self.borrow_mut().dispatch_chain(point, marshal)
     }
 

@@ -338,7 +338,10 @@ fn quarantine_row_holds_under_sharded_dispatch() {
 // technology and under sharded dispatch.
 // ---------------------------------------------------------------------
 
+use graftbench::api::{EntryId, ExtensionEngine, RegionId, RegionStore};
 use graftbench::kernel::{GraftState, HostConfig, ShardedHost, VirtualShards};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use graftbench::kernsim::{DiskFault, DiskModel, FaultPlan, FaultyDisk};
 use graftbench::logdisk::{LdConfig, LogicalDisk};
 
@@ -475,6 +478,112 @@ fn salvage_detach_row_holds_under_sharded_dispatch() {
         }
         assert_eq!(degraded.map(), oracle.map(), "{tech}: sharded salvage lost mappings");
     }
+}
+
+/// Wraps an engine so that only the first region snapshot succeeds,
+/// counted across every shard replica: a graft whose state has become
+/// unreadable by the time of its second detach.
+struct SnapshotOnce {
+    inner: Box<dyn ExtensionEngine>,
+    snapshots: Arc<AtomicUsize>,
+}
+
+impl ExtensionEngine for SnapshotOnce {
+    fn technology(&self) -> Technology {
+        self.inner.technology()
+    }
+    fn bind_entry(&mut self, entry: &str) -> Result<EntryId, GraftError> {
+        self.inner.bind_entry(entry)
+    }
+    fn bind_region(&self, name: &str) -> Result<RegionId, GraftError> {
+        self.inner.bind_region(name)
+    }
+    fn invoke_id(&mut self, entry: EntryId, args: &[i64]) -> Result<i64, GraftError> {
+        self.inner.invoke_id(entry, args)
+    }
+    fn load_region_id(&mut self, id: RegionId, at: usize, data: &[i64]) -> Result<(), GraftError> {
+        self.inner.load_region_id(id, at, data)
+    }
+    fn read_region_id(&self, id: RegionId, index: usize) -> Result<i64, GraftError> {
+        self.inner.read_region_id(id, index)
+    }
+    fn write_region_id(&mut self, id: RegionId, index: usize, v: i64) -> Result<(), GraftError> {
+        self.inner.write_region_id(id, index, v)
+    }
+    fn read_region_slice_id(&self, id: RegionId, at: usize, out: &mut [i64]) -> Result<(), GraftError> {
+        self.inner.read_region_slice_id(id, at, out)
+    }
+    fn region_len(&self, id: RegionId) -> Result<usize, GraftError> {
+        self.inner.region_len(id)
+    }
+    fn snapshot_region(&self, id: RegionId) -> Result<Vec<i64>, GraftError> {
+        if self.snapshots.fetch_add(1, Ordering::SeqCst) > 0 {
+            return Err(GraftError::Unavailable {
+                graft: "flaky-map".into(),
+                missing: "a readable map (injected)".into(),
+            });
+        }
+        self.inner.snapshot_region(id)
+    }
+    fn set_fuel(&mut self, fuel: Option<u64>) {
+        self.inner.set_fuel(fuel)
+    }
+    fn fork_for_shard(&self, shard: usize) -> Result<Box<dyn ExtensionEngine>, GraftError> {
+        Ok(Box::new(SnapshotOnce {
+            inner: self.inner.fork_for_shard(shard)?,
+            snapshots: Arc::clone(&self.snapshots),
+        }))
+    }
+}
+
+/// A native graft with a four-word `map` whose every call divides by
+/// zero, wrapped so only its first detach can salvage the map.
+fn snapshot_once_engine() -> Box<dyn ExtensionEngine> {
+    let spec = GraftSpec::new("flaky-map", GraftClass::BlackBox, Motivation::Policy)
+        .region(RegionSpec::data("map", 4))
+        .entry("select_victim", 2)
+        .with_native(Box::new(|| {
+            Box::new(|_: &str, _: &[i64], _: &mut RegionStore| Err(Trap::DivByZero.into()))
+        }));
+    let inner = GraftManager::new().load(&spec, Technology::RustNative).unwrap();
+    Box::new(SnapshotOnce {
+        inner,
+        snapshots: Arc::new(AtomicUsize::new(0)),
+    })
+}
+
+#[test]
+fn failed_salvage_replaces_the_previous_detach_state_on_both_hosts() {
+    // Two detaches; the first salvages the map, the second cannot.
+    // `take_salvage` must then hand back nothing, so the kernel rebuilds
+    // from durable summaries instead of re-seeding a stale map, and both
+    // hosts' postmortems report the second salvage as failed.
+    let mut host = GraftHost::with_config(hair_trigger());
+    let id = host
+        .install(AttachPoint::VmEvict, "flaky-map", snapshot_once_engine())
+        .unwrap();
+    host.set_salvage_plan(id, &["map"]).unwrap();
+    assert!(host.invoke(id, &[1, 1]).is_err());
+    assert!(host.readmit(id));
+    assert!(host.invoke(id, &[1, 1]).is_err());
+    assert_eq!(host.take_salvage(id), None, "scalar: stale salvage survived");
+    let words: Vec<_> = host.postmortems().iter().map(|p| p.salvaged_words).collect();
+    assert_eq!(words, [Some(4), None], "scalar postmortems");
+    assert_eq!(host.stats().salvages, 1);
+
+    let mut host = ShardedHost::with_config(2, hair_trigger());
+    let id = host
+        .install_with_salvage(AttachPoint::VmEvict, "flaky-map", snapshot_once_engine(), &["map"])
+        .unwrap();
+    let mut vs = VirtualShards::new(&mut host, 5);
+    assert!(vs.shard_mut(0).invoke(id, &[1, 1]).is_err());
+    assert!(host.readmit(id));
+    assert!(vs.shard_mut(1).invoke(id, &[1, 1]).is_err());
+    assert_eq!(host.take_salvage(id), None, "sharded: stale salvage survived");
+    let words: Vec<_> = host.take_postmortems().iter().map(|p| p.salvaged_words).collect();
+    assert_eq!(words, [Some(4), None], "sharded postmortems");
+    vs.flush_all();
+    assert_eq!(host.stats().salvages, 1);
 }
 
 #[test]

@@ -144,6 +144,32 @@ fn backoff_config(seed: u64) -> HostConfig {
     }
 }
 
+/// [`pure_spec`] plus a native-only failure mode: `b == 3` returns a
+/// non-trap framework error, which the host must charge as a failure,
+/// never as an invocation.
+fn flaky_spec() -> GraftSpec {
+    GraftSpec::new("flaky-pick", GraftClass::Prioritization, Motivation::Policy)
+        .entry("select_victim", 2)
+        .with_native(Box::new(|| {
+            Box::new(|_: &str, args: &[i64], _: &mut RegionStore| {
+                let (a, b) = (args[0], args[1]);
+                match b {
+                    0 => Err(GraftError::Trap(Trap::DivByZero)),
+                    3 => Err(marshal_err()),
+                    _ => Ok((a + b) % 7 - 3),
+                }
+            })
+        }))
+}
+
+fn flaky_outcome(a: i64, b: i64) -> Outcome {
+    if b == 3 {
+        Outcome::Fail
+    } else {
+        pure_outcome(a, b)
+    }
+}
+
 fn marshal_err() -> GraftError {
     GraftError::Unavailable {
         graft: "pure-pick".into(),
@@ -210,6 +236,7 @@ fn check_one(
     let mut trace = vec![shards as i64];
     let ctx = |seed: u64| format!("{tech} seed {seed:#x}");
 
+    let mut uninstalled = false;
     let ops = 12 + rng.bounded_u64(20) as usize;
     for _ in 0..ops {
         let roll = if installed.is_empty() {
@@ -239,6 +266,7 @@ fn check_one(
         } else if roll < 25 {
             let k = rng.bounded_u64(installed.len() as u64) as usize;
             let (a, b, m) = installed.remove(k);
+            uninstalled = true;
             let removed = single.uninstall(a);
             assert_eq!(
                 removed,
@@ -349,6 +377,22 @@ fn check_one(
         trace.push(l1.traps as i64);
     }
 
+    // `HostStats::invocations` counts successful or trapped calls only,
+    // exactly what the ledgers count: with every graft still installed
+    // the two totals agree.
+    if !uninstalled {
+        let charged: u64 = installed
+            .iter()
+            .map(|&(a, _, _)| single.ledger(a).expect("scalar ledger").invocations)
+            .sum();
+        assert_eq!(
+            single.stats().invocations,
+            charged,
+            "invocations vs ledgers, {}",
+            ctx(seed)
+        );
+    }
+
     // Every shard sees the same membership as the scalar host, and the
     // scalar host the model's.
     assert_eq!(
@@ -392,6 +436,27 @@ fn run_equivalence(tech: Technology, base_seed: u64) {
     for i in 0..INTERLEAVINGS {
         let seed = base_seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         check_one(&manager, &spec, tech, seed, cfg, pure_outcome);
+    }
+}
+
+#[test]
+fn non_trap_errors_count_as_failures_not_invocations() {
+    // A direct invoke that fails without trapping is the framework's
+    // fault: one marshal failure, no invocation, no ledger entry, the
+    // same as the same failure inside a chain walk.
+    let manager = GraftManager::new();
+    let spec = flaky_spec();
+    for i in 0..200u64 {
+        let seed = 0xF1A4 ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let cfg = HostConfig::default();
+        check_one(
+            &manager,
+            &spec,
+            Technology::RustNative,
+            seed,
+            cfg,
+            flaky_outcome,
+        );
     }
 }
 
