@@ -123,17 +123,30 @@ impl SealedSegment {
     /// The digest over summary fields and payload (everything except
     /// the stored checksum itself).
     pub fn compute_checksum(&self, seed: u64) -> u64 {
-        let summary = [
+        self.digest(seed, |_| {})
+    }
+
+    /// [`compute_checksum`](SealedSegment::compute_checksum), handing
+    /// each entry to `visit` on the way, so a caller that needs both
+    /// the digest and the entries reads them once. The digest is a
+    /// serial chain, so light work in `visit` runs in its shadow.
+    pub(crate) fn digest(&self, seed: u64, mut visit: impl FnMut(&MapEntry)) -> u64 {
+        let mut sum = checksum::Checksummer::new(seed);
+        for w in [
             self.base_lsn,
             self.physical_start,
             self.merged as u64,
             self.entries.len() as u64,
-        ];
-        let payload = self
-            .entries
-            .iter()
-            .flat_map(|e| [e.lsn, e.logical, e.physical]);
-        checksum::checksum_words(seed, summary.into_iter().chain(payload))
+        ] {
+            sum.word(w);
+        }
+        for e in &self.entries {
+            sum.word(e.lsn);
+            sum.word(e.logical);
+            sum.word(e.physical);
+            visit(e);
+        }
+        sum.finish()
     }
 
     /// Stamps the checksum (done once, at seal time).
@@ -734,6 +747,27 @@ mod tests {
         assert!(segs.iter().all(|s| s.verify(seed)));
         // A different seed family rejects them all.
         assert!(segs.iter().all(|s| !s.verify(seed ^ 1)));
+    }
+
+    #[test]
+    fn segment_digest_covers_summary_then_entry_words() {
+        let mut d = ld();
+        for logical in [9, 8, 7, 6] {
+            d.write(logical);
+        }
+        let s = &d.segments()[0];
+        let payload = s
+            .entries
+            .iter()
+            .flat_map(|e| [e.lsn, e.logical, e.physical]);
+        let words = [s.base_lsn, s.physical_start, s.merged as u64, 4]
+            .into_iter()
+            .chain(payload);
+        let seed = d.checksum_seed();
+        assert_eq!(s.checksum, checksum::checksum_words(seed, words));
+        let mut seen = Vec::new();
+        assert_eq!(s.digest(seed, |e| seen.push(*e)), s.checksum);
+        assert_eq!(seen, s.entries);
     }
 
     #[test]

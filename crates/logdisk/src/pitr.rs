@@ -12,10 +12,12 @@
 //! guarded by the LSN that last advanced it.
 //!
 //! Unbounded history would explode physical use, so
-//! [`LogicalDisk::merge_below_watermark`] folds the segments wholly
-//! below a watermark into one *merged* segment keeping only the newest
-//! entry per logical block — exactly the state any restore at or above
-//! the watermark can still observe — and raises the retention floor.
+//! [`LogicalDisk::merge_below_watermark`] audits the segments wholly
+//! below a watermark and folds them into one *merged* segment keeping
+//! only the newest entry per logical block — exactly the state any
+//! restore at or above the watermark can still observe — and raises
+//! the retention floor; a candidate that fails its audit refuses the
+//! merge instead.
 //! The cleaner drives this from its normal passes
 //! ([`CleaningDisk::with_retention`]), making retention pressure part
 //! of the measured workload rather than a free lunch.
@@ -24,7 +26,9 @@
 
 use crate::{LogicalDisk, MapEntry, SealedSegment, UNMAPPED};
 
-/// Why a [`LogicalDisk::restore_to_lsn`] request was refused.
+/// Why a [`LogicalDisk::restore_to_lsn`] request (or, with
+/// [`CorruptSegment`](RestoreError::CorruptSegment) only, a
+/// [`LogicalDisk::merge_below_watermark`] pass) was refused.
 ///
 /// Refusal is loud by design: a restore that cannot be exact returns an
 /// error, never an approximate map.
@@ -240,38 +244,75 @@ impl LogicalDisk {
     /// merge; restores below it now refuse with
     /// [`RestoreError::BelowRetention`].
     ///
+    /// Segments are kept in LSN order, so the candidates are the
+    /// prefix of [`LogicalDisk::segments`] whose records end at or
+    /// below the watermark, and the pass costs in proportion to the
+    /// entries it folds. Every candidate is checksum-audited first:
+    /// sealing a fold of rotted entries under a fresh checksum would
+    /// launder the rot into history that later audits trust. On a
+    /// mismatch the merge refuses ([`RestoreError::CorruptSegment`],
+    /// the first offending index): nothing is folded, the retention
+    /// floor stays, and the mismatching candidates are counted in
+    /// [`LdStats::checksum_failures`](crate::LdStats::checksum_failures)
+    /// — read-only, as a refused restore does; a later
+    /// [`scrub`](LogicalDisk::scrub) quarantines them.
+    ///
     /// The merged segment is sealed under the same checksum family as
     /// fresh ones and participates in later merges, so repeated passes
     /// compound instead of stacking.
-    pub fn merge_below_watermark(&mut self, watermark: u64) -> MergeReport {
+    pub fn merge_below_watermark(&mut self, watermark: u64) -> Result<MergeReport, RestoreError> {
         let watermark = watermark.min(self.durable_lsn);
-        self.retention_floor = self.retention_floor.max(watermark);
-        let (candidates, keep): (Vec<SealedSegment>, Vec<SealedSegment>) = self
+        let n = self
             .segments
-            .drain(..)
-            .partition(|s| s.end_lsn() <= watermark);
-        self.stats.merge_passes += 1;
-        if candidates.is_empty() {
-            self.segments = keep;
-            return MergeReport {
-                retained_entries: self.retained_entries(),
-                ..MergeReport::default()
-            };
-        }
-        // Newest entry per logical block among the candidates survives.
-        let mut newest: std::collections::HashMap<u64, MapEntry> = std::collections::HashMap::new();
+            .iter()
+            .take_while(|s| s.end_lsn() <= watermark)
+            .count();
+        let candidates = &self.segments[..n];
+        // Newest entry per logical block among the candidates survives:
+        // stamp each block with `lsn + 1` of its newest entry (the
+        // `Replayer` guard), then keep the entries that carry the
+        // stamp. Stamping rides along with the audit, and is thrown
+        // away if the audit refuses; it skips out-of-range blocks,
+        // which only rot can produce.
+        let seed = self.checksum_seed;
+        let mut newest = vec![0u64; self.config.blocks];
         let mut total = 0u64;
-        for seg in &candidates {
-            total += seg.entries.len() as u64;
-            for &e in &seg.entries {
-                let slot = newest.entry(e.logical).or_insert(e);
-                if e.lsn > slot.lsn {
-                    *slot = e;
+        let mut first_corrupt = None;
+        let mut failures = 0u64;
+        for (i, s) in candidates.iter().enumerate() {
+            total += s.entries.len() as u64;
+            let sum = s.digest(seed, |e| {
+                if let Some(stamp) = newest.get_mut(e.logical as usize) {
+                    *stamp = (*stamp).max(e.lsn + 1);
                 }
+            });
+            if sum != s.checksum {
+                first_corrupt.get_or_insert(i);
+                failures += 1;
             }
         }
-        let mut survivors: Vec<MapEntry> = newest.into_values().collect();
-        survivors.sort_by_key(|e| e.lsn);
+        if let Some(index) = first_corrupt {
+            self.stats.checksum_failures += failures;
+            return Err(RestoreError::CorruptSegment { index });
+        }
+        self.retention_floor = self.retention_floor.max(watermark);
+        self.stats.merge_passes += 1;
+        if n == 0 {
+            return Ok(MergeReport {
+                retained_entries: self.retained_entries(),
+                ..MergeReport::default()
+            });
+        }
+        // The candidates are in LSN order, so the survivors come out in
+        // LSN order; clearing a stamp once used keeps one per block.
+        let mut survivors = Vec::new();
+        for e in candidates.iter().flat_map(|s| &s.entries) {
+            let stamp = &mut newest[e.logical as usize];
+            if *stamp == e.lsn + 1 {
+                *stamp = 0;
+                survivors.push(*e);
+            }
+        }
         let pruned = total - survivors.len() as u64;
         let mut merged = SealedSegment {
             base_lsn: survivors.first().map(|e| e.lsn).unwrap_or(watermark),
@@ -280,17 +321,18 @@ impl LogicalDisk {
             entries: survivors,
             checksum: 0,
         };
-        merged.seal(self.checksum_seed);
-        self.segments = Vec::with_capacity(1 + keep.len());
-        self.segments.push(merged);
-        self.segments.extend(keep);
-        self.stats.merged_segments += candidates.len() as u64;
+        merged.seal(seed);
+        // The merged record takes the last candidate's place; the rest
+        // of the prefix goes in one shift.
+        self.segments[n - 1] = merged;
+        self.segments.drain(..n - 1);
+        self.stats.merged_segments += n as u64;
         self.stats.pruned_entries += pruned;
-        MergeReport {
-            merged_segments: candidates.len() as u64,
+        Ok(MergeReport {
+            merged_segments: n as u64,
             pruned_entries: pruned,
             retained_entries: self.retained_entries(),
-        }
+        })
     }
 }
 
@@ -378,13 +420,76 @@ mod tests {
     }
 
     #[test]
+    fn merge_refuses_to_launder_rotted_history() {
+        let cfg = LdConfig {
+            blocks: 64,
+            segment_blocks: 4,
+        };
+        let mut d = LogicalDisk::new(cfg);
+        for w in 0..32u64 {
+            d.write(w % 16);
+        }
+        let oracle = d.restore_to_lsn(16).unwrap();
+        // Rot the physical word of segment 1's first entry (LSN 4,
+        // block 4, physical 4 -> 12): the newest copy of block 4 below
+        // the watermark, so a fold would keep it.
+        d.corrupt_segment(1, false, 2 + (3 << 8)).unwrap();
+        let segments = d.segments().to_vec();
+        assert_eq!(
+            d.merge_below_watermark(16),
+            Err(RestoreError::CorruptSegment { index: 1 })
+        );
+        // Refused: nothing folded, the floor stays, the rot is counted
+        // but not quarantined.
+        assert_eq!(d.segments(), &segments[..]);
+        assert_eq!(d.retention_floor(), 0);
+        let s = d.stats();
+        assert_eq!(s.checksum_failures, 1);
+        assert_eq!(s.quarantined_segments, 0);
+        assert_eq!((s.merge_passes, s.merged_segments), (0, 0));
+        // A scrub still finds the rot and brackets it by its trusted
+        // neighbours; the merge then goes through.
+        let r = d.scrub();
+        assert_eq!(r.failures, 1);
+        assert_eq!(r.redo_spans, vec![(4, 8)]);
+        assert!(d.merge_below_watermark(16).is_ok());
+        assert_eq!(d.retention_floor(), 16);
+        assert!(d.scrub().clean());
+        // The quarantined span's mappings are absent, never wrong.
+        let restored = d.restore_to_lsn(16).unwrap();
+        for (b, (&got, &want)) in restored.iter().zip(&oracle).enumerate() {
+            if (4..8).contains(&b) {
+                assert_eq!(got, UNMAPPED, "block {b}");
+            } else {
+                assert_eq!(got, want, "block {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn merge_refuses_rot_that_names_a_block_beyond_the_disk() {
+        let mut d = LogicalDisk::new(config());
+        for w in 0..32u64 {
+            d.write(w % 16);
+        }
+        // Flip bit 40 of an entry's logical block: folding it would
+        // index past the disk, so the audit's verdict must come first.
+        d.corrupt_segment(2, false, 1 + (40 << 8)).unwrap();
+        assert_eq!(
+            d.merge_below_watermark(32),
+            Err(RestoreError::CorruptSegment { index: 2 })
+        );
+        assert_eq!(d.retention_floor(), 0);
+    }
+
+    #[test]
     fn corrupt_merged_history_is_reported_as_lost_not_an_empty_span() {
         let cfg = config();
         let mut d = LogicalDisk::new(cfg);
         for l in workload::skewed(cfg.blocks, 400, 23) {
             d.write(l);
         }
-        d.merge_below_watermark(200);
+        d.merge_below_watermark(200).unwrap();
         assert!(d.segments()[0].merged);
         d.corrupt_segment(0, false, 0xF00D).unwrap();
         let r = d.scrub();
@@ -416,7 +521,7 @@ mod tests {
             .map(|lsn| d.restore_to_lsn(lsn).unwrap())
             .collect();
         let entries_before = d.retained_entries();
-        let report = d.merge_below_watermark(watermark);
+        let report = d.merge_below_watermark(watermark).unwrap();
         assert!(report.merged_segments > 0);
         assert!(report.pruned_entries > 0, "a skewed stream must supersede");
         assert_eq!(
@@ -447,9 +552,9 @@ mod tests {
         for l in workload::skewed(cfg.blocks, 600, 5) {
             d.write(l);
         }
-        d.merge_below_watermark(200);
+        d.merge_below_watermark(200).unwrap();
         let after_first = d.segments().len();
-        d.merge_below_watermark(400);
+        d.merge_below_watermark(400).unwrap();
         // The first merged segment was itself folded into the second.
         assert_eq!(d.segments().iter().filter(|s| s.merged).count(), 1);
         assert!(d.segments().len() < after_first);
@@ -466,7 +571,7 @@ mod tests {
             oracle.write(l);
             victim.write(l);
         }
-        victim.merge_below_watermark(160);
+        victim.merge_below_watermark(160).unwrap();
         victim.crash();
         victim.rebuild_map();
         for b in 0..cfg.blocks as u64 {

@@ -1,10 +1,12 @@
 //! Property tests for the Logical Disk facility, driven by a seeded RNG
 //! (no network deps).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use graft_rng::{Rng, SmallRng};
-use logdisk::{cleaner::CleaningDisk, workload, LdConfig, LogicalDisk, Replayer, UNMAPPED};
+use logdisk::{
+    cleaner::CleaningDisk, workload, LdConfig, LogicalDisk, MapEntry, Replayer, UNMAPPED,
+};
 
 /// The map always reflects the most recent write of each block, and
 /// physical addresses are handed out sequentially.
@@ -195,7 +197,7 @@ fn restore_is_exact_at_every_retained_lsn_across_random_merges() {
         // A couple of merges at random watermarks, compounding.
         for _ in 0..rng.gen_range(0usize..3) {
             let watermark = rng.gen_range(0u64..ld.durable_lsn() + 1);
-            ld.merge_below_watermark(watermark);
+            ld.merge_below_watermark(watermark).unwrap();
         }
         for lsn in ld.retention_floor()..=ld.durable_lsn() {
             let restored = ld.restore_to_lsn(lsn).unwrap();
@@ -204,6 +206,67 @@ fn restore_is_exact_at_every_retained_lsn_across_random_merges() {
                 oracle.write(l);
             }
             assert_eq!(restored.as_slice(), oracle.map(), "restore to LSN {lsn} diverged");
+        }
+    }
+}
+
+/// A merge folds exactly what a `BTreeMap` model says: among the
+/// segments wholly below the watermark, the newest entry per logical
+/// block, in LSN order, sealed into one merged segment in front of the
+/// untouched remainder. Repeated merges fold the previous merged
+/// segment in too.
+#[test]
+fn merge_matches_a_newest_entry_model() {
+    let mut rng = SmallRng::seed_from_u64(0x3E46);
+    for _case in 0..48 {
+        let config = LdConfig {
+            blocks: 128,
+            segment_blocks: [4, 8, 16][rng.gen_range(0usize..3)],
+        };
+        let nwrites = rng.gen_range(0usize..1200);
+        let domain = rng.gen_range(1u64..129);
+        let mut ld = LogicalDisk::new(config);
+        for _ in 0..nwrites {
+            ld.write(rng.gen_range(0..domain));
+        }
+        for _ in 0..rng.gen_range(1usize..4) {
+            let watermark = rng.gen_range(0u64..ld.durable_lsn() + 8);
+            let before = ld.segments().to_vec();
+            let floor = ld.retention_floor();
+            let clamped = watermark.min(ld.durable_lsn());
+            // Candidates: every segment wholly below the watermark;
+            // history is in LSN order, so they lead the list.
+            let n = before.iter().filter(|s| s.end_lsn() <= clamped).count();
+            assert!(before[..n].iter().all(|s| s.end_lsn() <= clamped));
+            let mut newest: BTreeMap<u64, MapEntry> = BTreeMap::new();
+            for e in before[..n].iter().flat_map(|s| &s.entries) {
+                let slot = newest.entry(e.logical).or_insert(*e);
+                if e.lsn > slot.lsn {
+                    *slot = *e;
+                }
+            }
+            let mut survivors: Vec<MapEntry> = newest.into_values().collect();
+            survivors.sort_by_key(|e| e.lsn);
+            let total: usize = before[..n].iter().map(|s| s.entries.len()).sum();
+
+            let report = ld.merge_below_watermark(watermark).unwrap();
+            assert_eq!(ld.retention_floor(), floor.max(clamped));
+            assert_eq!(report.merged_segments, n as u64);
+            if n == 0 {
+                assert_eq!(ld.segments(), &before[..]);
+                continue;
+            }
+            assert_eq!(report.pruned_entries, (total - survivors.len()) as u64);
+            let merged = &ld.segments()[0];
+            assert!(merged.merged);
+            assert_eq!(merged.entries, survivors);
+            assert_eq!(merged.base_lsn, survivors[0].lsn);
+            assert_eq!(
+                merged.physical_start,
+                survivors.iter().map(|e| e.physical).min().unwrap()
+            );
+            assert!(merged.verify(ld.checksum_seed()));
+            assert_eq!(&ld.segments()[1..], &before[n..]);
         }
     }
 }
